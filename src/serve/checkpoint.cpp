@@ -169,6 +169,7 @@ void JournalWriter::open(const std::string& path, bool fsync_each) {
                              errno_message());
   }
   fsync_each_ = fsync_each;
+  sync_error_pending_.store(false, std::memory_order_relaxed);
 }
 
 void JournalWriter::append(const campaign::TrialRow& row) {
@@ -209,8 +210,13 @@ void JournalWriter::append_line(const std::string& line) {
             "tail left on disk)");
       case JournalFault::FsyncEio:
         // The line is written but its durability is unknown: the commit must
-        // still fail loudly (a crash now could lose it).
+        // still fail loudly (a crash now could lose it) — here, or at the
+        // next sync() when appends do not fsync.
         write_all(line.data(), line.size());
+        if (!fsync_each_) {
+          sync_error_pending_.store(true, std::memory_order_relaxed);
+          return;
+        }
         throw std::runtime_error(
             "dualrad: journal fsync failed (injected EIO; line durability "
             "unknown)");
@@ -226,6 +232,19 @@ void JournalWriter::append_line(const std::string& line) {
     // An fsync error means the kernel may have dropped this (or an earlier)
     // write: the only honest outcome is a loud failure. The on-disk prefix
     // is still a valid journal — whole-line appends tear at most the tail.
+    throw std::runtime_error(std::string("dualrad: journal fsync failed: ") +
+                             errno_message());
+  }
+}
+
+void JournalWriter::sync() {
+  DUALRAD_CHECK(fd_ >= 0, "journal writer not open");
+  if (sync_error_pending_.exchange(false, std::memory_order_relaxed)) {
+    throw std::runtime_error(
+        "dualrad: journal fsync failed (injected EIO; line durability "
+        "unknown)");
+  }
+  if (::fsync(fd_) != 0) {
     throw std::runtime_error(std::string("dualrad: journal fsync failed: ") +
                              errno_message());
   }

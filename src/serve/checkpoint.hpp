@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -72,16 +73,23 @@ void truncate_torn_tail(const std::string& path, const JournalLoad& load);
 [[nodiscard]] std::string journal_line(const campaign::TelemetryRow& row);
 
 /// Append-only journal writer. Lines are written with a single write(2) to
-/// an O_APPEND descriptor and fsynced, so concurrent writers cannot
-/// interleave within a line and a crash tears at most the tail.
+/// an O_APPEND descriptor, so concurrent writers cannot interleave within a
+/// line and a crash tears at most the tail. With `fsync_each` every append
+/// is fsynced; without it the owner batches durability through sync() (the
+/// serve coordinator fsyncs once per sealed unit).
 ///
-/// Failure contract: every append throws std::runtime_error on any write or
-/// fsync error — a commit whose durability is unknown must fail loudly, not
-/// limp on. Because lines are whole-line appends, a failed append leaves the
-/// journal's valid prefix intact (at worst a torn tail, which the loader
-/// already recovers via valid_bytes). This is also the checkpoint
+/// Failure contract: append() and sync() throw std::runtime_error on any
+/// write or fsync error — a commit whose durability is unknown must fail
+/// loudly, not limp on. Because lines are whole-line appends, a failed append
+/// leaves the journal's valid prefix intact (at worst a torn tail, which the
+/// loader already recovers via valid_bytes). This is also the checkpoint
 /// fault-injection seam: an installed faultline::FaultInjector can simulate
-/// torn writes, fsync EIO, and ENOSPC here.
+/// torn writes, fsync EIO, and ENOSPC here. An injected fsync EIO on an
+/// append that does not fsync is deferred to the next sync(), the way the
+/// kernel reports a failed writeback at the next fsync.
+///
+/// sync() may run concurrently with append() (it only reads the descriptor);
+/// open() and close() must not race either.
 class JournalWriter {
  public:
   JournalWriter() = default;
@@ -90,8 +98,8 @@ class JournalWriter {
   ~JournalWriter() { close(); }
 
   /// Open (creating or appending). Throws std::runtime_error on failure.
-  /// `fsync_each` trades one fsync per trial for crash-durability; trials
-  /// are orders of magnitude more expensive than an fsync, so default on.
+  /// `fsync_each` fsyncs every append; pass false to batch durability
+  /// through sync().
   void open(const std::string& path, bool fsync_each = true);
 
   [[nodiscard]] bool is_open() const { return fd_ >= 0; }
@@ -102,6 +110,10 @@ class JournalWriter {
   /// Append one telemetry row. Throws std::runtime_error on I/O failure.
   void append(const campaign::TelemetryRow& row);
 
+  /// fsync every line appended so far. Throws std::runtime_error on failure
+  /// (including a deferred injected fsync EIO).
+  void sync();
+
   void close();
 
  private:
@@ -109,6 +121,7 @@ class JournalWriter {
 
   int fd_ = -1;
   bool fsync_each_ = true;
+  std::atomic<bool> sync_error_pending_{false};
 };
 
 }  // namespace dualrad::serve

@@ -29,17 +29,19 @@ void Coordinator::configure_campaign(std::uint64_t master_seed,
 void Coordinator::load_campaign(
     const std::vector<campaign::Scenario>& scenarios) {
   // Journal load happens outside the lock (file I/O), before the grid is
-  // published; commits cannot arrive for an unloaded campaign anyway.
+  // published; rows cannot arrive for an unloaded campaign anyway.
   JournalLoad journal_rows;
   if (config_.resume) {
     DUALRAD_REQUIRE(!config_.journal_path.empty(),
                     "resume requires a journal path");
     journal_rows = load_journal(config_.journal_path);
     // Cut any torn final line before reopening for append, or the next
-    // commit would concatenate onto the fragment and corrupt it.
+    // append would concatenate onto the fragment and corrupt it.
     truncate_torn_tail(config_.journal_path, journal_rows);
   }
 
+  // sync_mutex_ first: no seal may be mid-fsync while the journal reopens.
+  const std::lock_guard<std::mutex> sync_lock(sync_mutex_);
   const std::lock_guard<std::mutex> lock(mutex_);
   DUALRAD_REQUIRE(!loaded_ || settled_locked(),
                   "a campaign is already in progress");
@@ -74,6 +76,10 @@ void Coordinator::load_campaign(
   speculative_ = 0;
   journal_errors_ = 0;
   journal_error_.clear();
+  journal_syncs_ = 0;
+  journal_sync_ns_ = 0;
+  seals_ = 0;
+  row_resends_ = 0;
   unit_secs_.clear();
 
   for (std::size_t si = 0; si < scenarios_.size(); ++si) {
@@ -96,17 +102,35 @@ void Coordinator::load_campaign(
   }
 
   loaded_ = true;
+  ++generation_;
 
   // Open (or create) the journal before replaying: replayed rows are already
-  // in the file, so commit_locked(from_journal=true) skips re-appending.
+  // in the file, so add_row_locked(from_journal=true) skips re-appending.
+  journal_live_ = false;
+  journal_written_ = 0;
+  journal_synced_ = 0;
   if (!config_.journal_path.empty()) {
-    journal_.open(config_.journal_path);
+    journal_.open(config_.journal_path, /*fsync_each=*/false);
+    journal_live_ = true;
   }
   for (const campaign::TrialRow& row : journal_rows.rows) {
-    const Commit outcome = commit_locked(row, /*from_journal=*/true);
-    DUALRAD_CHECK(outcome == Commit::Accepted,
+    const Row outcome = add_row_locked(row, /*from_journal=*/true);
+    DUALRAD_CHECK(outcome == Row::Accepted,
                   "journal replay produced a duplicate");
     ++resumed_;
+  }
+  if (resumed_ != 0) {
+    // Replayed rows may never have been fsynced (the previous coordinator
+    // died before sealing them); one fsync makes them durable, so their
+    // units can be Done at once.
+    try {
+      journal_.sync();
+    } catch (const std::exception& e) {
+      journal_failed_locked(e.what());
+    }
+    for (Unit& unit : units_) {
+      if (unit.remaining == 0) mark_done_locked(unit);
+    }
   }
   // Replay journaled telemetry (first-wins, same validation as the live
   // path) so crashed runs keep their telemetry through --resume.
@@ -122,7 +146,7 @@ void Coordinator::load_campaign(
       telemetry_present_[job] = 1;
     }
   }
-  if (settled_locked()) done_cv_.notify_all();
+  changed_cv_.notify_all();
 }
 
 bool Coordinator::campaign_loaded() const {
@@ -178,7 +202,7 @@ void Coordinator::sweep_expired_leases_locked() {
         unit.expiries >= config_.max_unit_expiries) {
       // Poison quarantine: this unit has now killed (or outlived) N leases.
       // Requeueing it forever would livelock the campaign; park it and let
-      // finalize() report the gap explicitly. A late commit can still heal
+      // finalize() report the gap explicitly. A late seal can still heal
       // it back to Done. `worker` is kept for the manifest — the last
       // holder is the first place to look for the poison.
       unit.state = UnitState::Quarantined;
@@ -188,13 +212,54 @@ void Coordinator::sweep_expired_leases_locked() {
       unit.state = UnitState::Pending;
     }
   }
-  if (newly_settled && settled_locked()) done_cv_.notify_all();
+  if (newly_settled && settled_locked()) changed_cv_.notify_all();
 }
 
-std::optional<JobSpec> Coordinator::lease(const std::string& worker) {
+std::optional<JobSpec> Coordinator::lease(const std::string& worker,
+                                         std::chrono::milliseconds wait,
+                                         const std::atomic<bool>* cancel) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  const auto until = std::chrono::steady_clock::now() + wait;
+  for (;;) {
+    if (loaded_) {
+      sweep_expired_leases_locked();
+      if (std::optional<JobSpec> job = try_lease_locked(worker)) return job;
+      if (settled_locked()) return std::nullopt;
+    }
+    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+      return std::nullopt;
+    }
+    // Long-poll: sleep until the next moment something can become leasable
+    // (a lease deadline or speculation point), or a notify (load, settle,
+    // wake_waiters). `until` is finite, so the wait is bounded.
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= until) return std::nullopt;
+    changed_cv_.wait_until(lock,
+                           std::min(until, next_lease_event_locked(worker)));
+  }
+}
+
+void Coordinator::wake_waiters() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (!loaded_) return std::nullopt;
-  sweep_expired_leases_locked();
+  changed_cv_.notify_all();
+}
+
+std::chrono::steady_clock::time_point Coordinator::next_lease_event_locked(
+    const std::string& worker) const {
+  auto next = std::chrono::steady_clock::time_point::max();
+  for (const Unit& unit : units_) {
+    if (unit.state != UnitState::Leased) continue;
+    next = std::min(next, unit.lease_deadline);
+    if (config_.speculative_redispatch && !unit.speculated &&
+        unit.worker != worker) {
+      next = std::min(next, unit.lease_start +
+                                (unit.lease_deadline - unit.lease_start) / 2);
+    }
+  }
+  return next;
+}
+
+std::optional<JobSpec> Coordinator::try_lease_locked(const std::string& worker) {
   const auto now = std::chrono::steady_clock::now();
   const auto window = std::chrono::microseconds(
       static_cast<std::int64_t>(lease_window_secs_locked() * 1e6));
@@ -220,10 +285,10 @@ std::optional<JobSpec> Coordinator::lease(const std::string& worker) {
   }
   if (!config_.speculative_redispatch) return std::nullopt;
   // Straggler speculation: nothing is pending but the campaign isn't done,
-  // so this worker would otherwise idle-poll while the tail unit finishes
-  // (or times out). Hand it a second copy of the leased unit that has been
-  // out the longest past half its window — exactly-once commit makes the
-  // duplicate execution safe, and whichever copy commits first wins. At most
+  // so this worker would otherwise idle while the tail unit finishes (or
+  // times out). Hand it a second copy of the leased unit that has been out
+  // the longest past half its window — row dedup makes the duplicate
+  // execution safe, and whichever copy seals first wins. At most
   // one speculative copy per lease term, and never to the holder itself.
   std::size_t best = units_.size();
   for (std::size_t ui = 0; ui < units_.size(); ++ui) {
@@ -242,24 +307,24 @@ std::optional<JobSpec> Coordinator::lease(const std::string& worker) {
   unit.speculated = true;
   ++speculative_;
   // The re-dispatch extends the deadline for both copies — the original
-  // holder may still commit, and the sweep must give the speculative copy a
+  // holder may still seal, and the sweep must give the speculative copy a
   // full window too.
   return make_job(best, unit);
 }
 
-Coordinator::Commit Coordinator::commit_locked(const campaign::TrialRow& row,
-                                               bool from_journal) {
-  DUALRAD_REQUIRE(loaded_, "commit before a campaign was loaded");
+Coordinator::Row Coordinator::add_row_locked(const campaign::TrialRow& row,
+                                             bool from_journal) {
+  DUALRAD_REQUIRE(loaded_, "row before a campaign was loaded");
   const auto it = scenario_index_.find(row.scenario);
   DUALRAD_REQUIRE(it != scenario_index_.end(),
-                  "commit for unknown scenario: " + row.scenario);
+                  "row for unknown scenario: " + row.scenario);
   const ScenarioSlot& slot = scenarios_[it->second];
   DUALRAD_REQUIRE(row.trial < slot.trials,
-                  "commit trial out of range in " + row.scenario);
+                  "row trial out of range in " + row.scenario);
   DUALRAD_REQUIRE(
       row.seed ==
           campaign::trial_seed(config_.master_seed, row.scenario, row.trial),
-      "commit seed mismatch (different master seed?) in " + row.scenario);
+      "row seed mismatch (different master seed?) in " + row.scenario);
 
   const std::size_t job = slot.first_job + row.trial;
   // Canonical untimed bytes: the same bytes the final export will contain,
@@ -269,68 +334,138 @@ Coordinator::Commit Coordinator::commit_locked(const campaign::TrialRow& row,
   const std::string bytes = campaign::trials_to_jsonl({canonical});
 
   if (!row_bytes_[job].empty()) {
-    if (row_bytes_[job] == bytes) return Commit::Duplicate;
+    if (row_bytes_[job] == bytes) return Row::Duplicate;
     throw std::runtime_error(
-        "dualrad: conflicting commit for " + row.scenario + "#" +
+        "dualrad: conflicting row for " + row.scenario + "#" +
         std::to_string(row.trial) +
         " — byte-identity contract violated (mismatched binary or grid?)");
   }
 
-  if (!from_journal) journal_append_guarded_locked(canonical);
+  Unit& unit = units_[unit_of_job_[job]];
+  if (!from_journal) {
+    journal_append_locked(canonical);
+    unit.journal_seq = journal_written_;
+  }
   rows_[job] = std::move(canonical);
   row_bytes_[job] = bytes;
   ++committed_;
-
-  Unit& unit = units_[unit_of_job_[job]];
-  DUALRAD_CHECK(unit.remaining > 0, "unit committed more trials than it has");
-  if (--unit.remaining == 0) {
-    // A late commit heals a quarantined unit: the work arrived after all, so
-    // the campaign is whole again for this range.
-    if (unit.state == UnitState::Leased && !from_journal) {
-      const auto elapsed = std::chrono::steady_clock::now() - unit.lease_start;
-      unit_secs_.push_back(
-          std::chrono::duration<double>(elapsed).count());
-    }
-    unit.state = UnitState::Done;
-    unit.worker.clear();
-    unit.speculated = false;
-  }
-  return Commit::Accepted;
+  DUALRAD_CHECK(unit.remaining > 0, "unit received more rows than it has");
+  --unit.remaining;
+  return Row::Accepted;
 }
 
-void Coordinator::journal_append_guarded_locked(const campaign::TrialRow& row) {
-  if (!journal_.is_open()) return;
+void Coordinator::mark_done_locked(Unit& unit) {
+  if (unit.state == UnitState::Done) return;
+  if (unit.state == UnitState::Leased) {
+    const auto elapsed = std::chrono::steady_clock::now() - unit.lease_start;
+    unit_secs_.push_back(std::chrono::duration<double>(elapsed).count());
+  }
+  // A quarantined unit heals here too: its work arrived after all.
+  unit.state = UnitState::Done;
+  unit.worker.clear();
+  unit.speculated = false;
+}
+
+template <class JournalRow>
+void Coordinator::journal_append_locked(const JournalRow& row) {
+  if (!journal_live_) return;
   try {
     journal_.append(row);
+    ++journal_written_;
   } catch (const std::exception& e) {
-    // Availability over durability: a failing journal device must not take
-    // a running campaign down. Disable checkpointing (the on-disk prefix is
-    // still a valid journal — whole-line appends tear at most the tail, and
-    // a later --resume re-runs whatever wasn't durable), count it, and let
-    // the commit succeed.
-    journal_.close();
-    ++journal_errors_;
-    if (journal_error_.empty()) journal_error_ = e.what();
+    journal_failed_locked(e.what());
   }
 }
 
-void Coordinator::journal_append_guarded_locked(
-    const campaign::TelemetryRow& row) {
-  if (!journal_.is_open()) return;
-  try {
-    journal_.append(row);
-  } catch (const std::exception& e) {
-    journal_.close();
-    ++journal_errors_;
-    if (journal_error_.empty()) journal_error_ = e.what();
-  }
+void Coordinator::journal_failed_locked(const std::string& error) {
+  // Availability over durability: a failing journal device must not take a
+  // running campaign down. Stop checkpointing (the on-disk prefix is still a
+  // valid journal — whole-line appends tear at most the tail, and a later
+  // --resume re-runs whatever wasn't durable), count it, and let rows and
+  // seals succeed. The descriptor stays open until the next load: a seal may
+  // be mid-fsync on it.
+  journal_live_ = false;
+  ++journal_errors_;
+  if (journal_error_.empty()) journal_error_ = error;
 }
 
-Coordinator::Commit Coordinator::commit(const campaign::TrialRow& row) {
+Coordinator::Row Coordinator::add_row(const campaign::TrialRow& row) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const Commit outcome = commit_locked(row, /*from_journal=*/false);
-  if (settled_locked()) done_cv_.notify_all();
-  return outcome;
+  return add_row_locked(row, /*from_journal=*/false);
+}
+
+Coordinator::Seal Coordinator::seal(std::string_view scenario,
+                                    std::uint32_t trial_begin,
+                                    std::uint32_t trial_end) {
+  std::uint64_t seq = 0;
+  std::uint64_t generation = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    DUALRAD_REQUIRE(loaded_, "seal before a campaign was loaded");
+    generation = generation_;
+    const auto it = scenario_index_.find(scenario);
+    DUALRAD_REQUIRE(it != scenario_index_.end(),
+                    "seal for unknown scenario: " + std::string(scenario));
+    const ScenarioSlot& slot = scenarios_[it->second];
+    DUALRAD_REQUIRE(trial_begin < trial_end && trial_end <= slot.trials,
+                    "seal range out of bounds in " + std::string(scenario));
+    for (std::uint32_t t = trial_begin; t < trial_end; ++t) {
+      const std::size_t job = slot.first_job + t;
+      if (row_bytes_[job].empty()) {
+        ++row_resends_;
+        return Seal::Resend;
+      }
+      seq = std::max(seq, units_[unit_of_job_[job]].journal_seq);
+    }
+  }
+  sync_journal(seq);
+
+  const std::lock_guard<std::mutex> lock(mutex_);
+  // A submit may have replaced the (then settled) campaign during the fsync;
+  // the rows were all there, so the ack stands, but there is nothing to mark.
+  if (generation != generation_) return Seal::Ack;
+  ++seals_;
+  const ScenarioSlot& slot = scenarios_[scenario_index_.find(scenario)->second];
+  // Done: every unit lying wholly inside the sealed range (normally exactly
+  // the unit the worker leased). All its rows arrived and are durable.
+  for (std::uint32_t t = trial_begin; t < trial_end;) {
+    Unit& unit = units_[unit_of_job_[slot.first_job + t]];
+    if (unit.trial_begin >= trial_begin && unit.trial_end <= trial_end) {
+      mark_done_locked(unit);
+    }
+    t = unit.trial_end;
+  }
+  if (settled_locked()) changed_cv_.notify_all();
+  return Seal::Ack;
+}
+
+void Coordinator::sync_journal(std::uint64_t seq) {
+  const std::lock_guard<std::mutex> sync_lock(sync_mutex_);
+  std::uint64_t covers = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!journal_live_ || journal_synced_ >= seq) return;
+    // Everything written so far rides along on this fsync.
+    covers = journal_written_;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string error;
+  try {
+    journal_.sync();
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ++journal_syncs_;
+  journal_sync_ns_ +=
+      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
+  if (error.empty()) {
+    journal_synced_ = std::max(journal_synced_, covers);
+  } else if (journal_live_) {
+    journal_failed_locked(error);
+  }
 }
 
 void Coordinator::add_telemetry(const campaign::TelemetryRow& row) {
@@ -346,12 +481,10 @@ void Coordinator::add_telemetry(const campaign::TelemetryRow& row) {
   if (telemetry_present_[job]) return;
   telemetry_[job] = row;
   telemetry_present_[job] = 1;
-  journal_append_guarded_locked(row);
+  journal_append_locked(row);
 }
 
 bool Coordinator::done() const {
-  // Callers hold no lock (done is const); the engine reads are benign but
-  // lock anyway for a clean contract — this is never on a hot path.
   const std::lock_guard<std::mutex> lock(mutex_);
   return settled_locked();
 }
@@ -360,10 +493,10 @@ bool Coordinator::wait_done(std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lock(mutex_);
   const auto is_done = [&] { return settled_locked(); };
   if (timeout.count() <= 0) {
-    done_cv_.wait(lock, is_done);
+    changed_cv_.wait(lock, is_done);
     return true;
   }
-  return done_cv_.wait_for(lock, timeout, is_done);
+  return changed_cv_.wait_for(lock, timeout, is_done);
 }
 
 Coordinator::Status Coordinator::status() const {
@@ -390,6 +523,10 @@ Coordinator::Status Coordinator::status() const {
   s.lease_expiries = lease_expiries_;
   s.speculative_dispatches = speculative_;
   s.journal_errors = journal_errors_;
+  s.journal_syncs = journal_syncs_;
+  s.journal_sync_ms = static_cast<double>(journal_sync_ns_) / 1e6;
+  s.seals = seals_;
+  s.row_resends = row_resends_;
   s.lease_ms_effective =
       static_cast<std::size_t>(lease_window_secs_locked() * 1e3);
   return s;
@@ -439,7 +576,7 @@ campaign::CampaignResult Coordinator::finalize() const {
       if (present > 0) grid.emplace_back(slot.name, present);
     }
   }
-  // Serve-mode rows are always untimed (the canonicalization in commit), so
+  // Serve-mode rows are always untimed (the canonicalization in add_row), so
   // summaries carry no wall-time column — matching an untimed batch run.
   result.summaries = campaign::summarize_trials(result.trials, grid, false);
   if (config_.collect_telemetry) {

@@ -59,7 +59,7 @@ struct FaultPlan {
   double append_enospc = 0.0; ///< nothing written, ENOSPC
 
   // Worker lifecycle faults (run_worker trial loop).
-  double crash = 0.0;  ///< worker dies mid-unit (before commit)
+  double crash = 0.0;  ///< worker dies mid-unit (before sending a row)
   double stall = 0.0;  ///< worker freezes for stall_ms
   int stall_ms = 100;
 

@@ -1,9 +1,15 @@
 #include "serve/server.hpp"
 
+#include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <list>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "campaign/export.hpp"
@@ -38,13 +44,32 @@ namespace {
   return "{\"type\":\"error\",\"message\":\"" + json_escape(message) + "\"}";
 }
 
+/// How long one `lease` long-poll may block: far below any sane worker
+/// reply timeout, long enough that an idle worker costs ~1 RPC per second.
+constexpr std::chrono::milliseconds kLeaseLongPoll{1000};
+
 }  // namespace
 
 Server::Server(Coordinator& coordinator, Options options)
-    : coordinator_(coordinator), options_(std::move(options)) {}
+    : coordinator_(coordinator),
+      options_(std::move(options)),
+      stop_fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
+  if (stop_fd_ < 0) throw std::runtime_error("dualrad: eventfd failed");
+}
+
+Server::~Server() { ::close(stop_fd_); }
+
+void Server::request_stop() {
+  stop_.store(true, std::memory_order_relaxed);
+  // Level-triggered: the eventfd stays readable, so every poll on it —
+  // present or future — returns at once.
+  const std::uint64_t one = 1;
+  (void)!::write(stop_fd_, &one, sizeof one);
+  coordinator_.wake_waiters();
+}
 
 std::string Server::handle_message(const std::string& payload,
-                                   bool& close_connection) {
+                                   Connection& connection) {
   jsonl::require_flat_object(payload);
   const std::string_view type = jsonl::field(payload, "type");
 
@@ -57,8 +82,12 @@ std::string Server::handle_message(const std::string& payload,
 
   if (type == "lease") {
     const std::string worker(jsonl::field(payload, "worker"));
-    if (!coordinator_.campaign_loaded()) return "{\"type\":\"idle\"}";
-    if (const std::optional<JobSpec> job = coordinator_.lease(worker)) {
+    // A worker that pipelines its previous unit's seal behind this lease
+    // asks for no long-poll: blocking here would hold that seal back.
+    const bool long_poll = jsonl::field_opt(payload, "long_poll") != "false";
+    if (const std::optional<JobSpec> job = coordinator_.lease(
+            worker, long_poll ? kLeaseLongPoll : std::chrono::milliseconds(0),
+            &stop_)) {
       std::string reply = "{\"type\":\"unit\"";
       reply += ",\"unit\":" + std::to_string(job->unit);
       reply += ",\"scenario\":\"" + job->scenario + "\"";
@@ -72,27 +101,44 @@ std::string Server::handle_message(const std::string& payload,
       reply += "}";
       return reply;
     }
+    if (!coordinator_.campaign_loaded()) return "{\"type\":\"idle\"}";
     if (coordinator_.done()) return "{\"type\":\"done\"}";
-    // Everything is leased out; tell the worker to poll again shortly (a
-    // lease may expire and requeue, or the campaign may finish).
-    return "{\"type\":\"wait\",\"millis\":300}";
+    // The long-poll ran out with everything leased out; the worker asks
+    // again at once.
+    return "{\"type\":\"wait\"}";
   }
 
-  if (type == "commit") {
-    // The commit payload carries the trial-row fields at top level, so the
+  if (type == "row") {
+    // The row payload carries the trial-row fields at top level, so the
     // canonical key-based row parser reads it directly ("type"/"unit" are
-    // ignored like any unknown key).
-    const std::vector<campaign::TrialRow> rows =
-        campaign::trials_from_jsonl(payload + "\n");
-    DUALRAD_REQUIRE(rows.size() == 1, "commit carries exactly one row");
-    const Coordinator::Commit outcome = coordinator_.commit(rows.front());
-    std::string reply = "{\"type\":\"ack\"";
-    reply += ",\"scenario\":\"" + rows.front().scenario + "\"";
-    reply += ",\"trial\":" + std::to_string(rows.front().trial);
-    reply += ",\"dup\":";
-    reply += outcome == Coordinator::Commit::Duplicate ? "1" : "0";
-    reply += "}";
-    return reply;
+    // ignored like any unknown key). One-way: a rejection is held for the
+    // next seal on this connection.
+    try {
+      const std::vector<campaign::TrialRow> rows =
+          campaign::trials_from_jsonl(payload + "\n");
+      DUALRAD_REQUIRE(rows.size() == 1, "row frame carries exactly one row");
+      (void)coordinator_.add_row(rows.front());
+    } catch (const std::exception& e) {
+      if (connection.row_error.empty()) connection.row_error = e.what();
+    }
+    return {};
+  }
+
+  if (type == "seal") {
+    if (!connection.row_error.empty()) {
+      std::string error;
+      error.swap(connection.row_error);
+      return error_reply(error);
+    }
+    const auto trial = [&](const char* key) {
+      return static_cast<std::uint32_t>(
+          jsonl::to_u64(jsonl::field(payload, key)));
+    };
+    const Coordinator::Seal outcome =
+        coordinator_.seal(jsonl::field(payload, "scenario"),
+                          trial("trial_begin"), trial("trial_end"));
+    return outcome == Coordinator::Seal::Ack ? "{\"type\":\"ack\"}"
+                                             : "{\"type\":\"resend\"}";
   }
 
   if (type == "telemetry") {
@@ -123,6 +169,13 @@ std::string Server::handle_message(const std::string& payload,
     reply += ",\"speculative_dispatches\":" +
              std::to_string(s.speculative_dispatches);
     reply += ",\"journal_errors\":" + std::to_string(s.journal_errors);
+    reply += ",\"journal_syncs\":" + std::to_string(s.journal_syncs);
+    char sync_ms[32];
+    std::snprintf(sync_ms, sizeof sync_ms, "%.3f", s.journal_sync_ms);
+    reply += ",\"journal_sync_ms\":";
+    reply += sync_ms;
+    reply += ",\"seals\":" + std::to_string(s.seals);
+    reply += ",\"row_resends\":" + std::to_string(s.row_resends);
     reply += ",\"lease_ms_effective\":" + std::to_string(s.lease_ms_effective);
     reply += "}";
     return reply;
@@ -154,47 +207,66 @@ std::string Server::handle_message(const std::string& payload,
            ",\"total_trials\":" + std::to_string(s.total_trials) + "}";
   }
 
-  close_connection = true;
+  connection.close = true;
   return error_reply("unknown message type: " + std::string(type));
 }
 
 void Server::handle_connection(int fd) {
   FrameReader reader;
-  for (;;) {
+  Connection connection;
+  while (!stopping()) {
     bool timed_out = false;
     const std::optional<std::string> payload =
-        recv_frame(fd, reader, /*timeout_ms=*/500, &timed_out);
-    if (!payload.has_value()) {
-      if (timed_out && !stopping()) continue;
-      break;  // EOF, error, corrupt stream, or shutdown
-    }
-    bool close_connection = false;
+        recv_frame(fd, reader, /*timeout_ms=*/0, &timed_out, stop_fd_);
+    if (!payload.has_value()) break;  // EOF, error, corrupt stream, or stop
     std::string reply;
     try {
-      reply = handle_message(*payload, close_connection);
+      reply = handle_message(*payload, connection);
     } catch (const std::exception& e) {
-      // Commit conflicts and malformed messages both land here: report and
-      // keep serving (the worker decides whether the error is fatal).
+      // Malformed messages and bad seals land here: report and keep serving
+      // (the worker decides whether the error is fatal).
       reply = error_reply(e.what());
     }
     if (!reply.empty() && !send_frame(fd, reply)) break;
-    if (close_connection) break;
+    if (connection.close) break;
   }
   ::close(fd);
 }
 
 void Server::run_accept_loop(int listen_fd) {
-  std::vector<std::thread> handlers;
+  struct Handler {
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+  // A list: handler threads hold a reference to their own node.
+  std::list<Handler> handlers;
+  const auto reap = [&](bool all) {
+    for (auto it = handlers.begin(); it != handlers.end();) {
+      if (all || it->finished.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = handlers.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    handler_threads_.store(handlers.size(), std::memory_order_relaxed);
+  };
   while (!stopping()) {
     bool timed_out = false;
-    const int fd = accept_connection(listen_fd, /*timeout_ms=*/200, &timed_out);
-    if (fd < 0) {
-      if (timed_out) continue;
-      break;  // listener error
-    }
-    handlers.emplace_back([this, fd] { handle_connection(fd); });
+    const int fd =
+        accept_connection(listen_fd, /*timeout_ms=*/0, &timed_out, stop_fd_);
+    if (fd < 0) break;  // listener error or stop
+    // A long-lived coordinator serves one connection per status RPC; join
+    // the finished ones as we go instead of holding them until shutdown.
+    reap(false);
+    Handler& handler = handlers.emplace_back();
+    handler.thread = std::thread([this, fd, &handler] {
+      handle_connection(fd);
+      handler.finished.store(true, std::memory_order_release);
+    });
+    handler_threads_.store(handlers.size(), std::memory_order_relaxed);
   }
-  for (std::thread& t : handlers) t.join();
+  reap(true);
 }
 
 }  // namespace dualrad::serve

@@ -48,14 +48,18 @@ void put_u32(std::string& out, std::uint32_t v) {
   return b(0) | (b(1) << 8) | (b(2) << 16) | (b(3) << 24);
 }
 
-/// Wait until `fd` is readable. Returns 1 ready, 0 timeout, -1 error/EOF.
-[[nodiscard]] int wait_readable(int fd, int timeout_ms) {
-  struct pollfd pfd{};
-  pfd.fd = fd;
-  pfd.events = POLLIN;
+/// Wait until `fd` is readable. Returns 1 ready, 0 timeout, -1 error/EOF or
+/// `cancel_fd` readable (poll ignores a negative cancel_fd).
+[[nodiscard]] int wait_readable(int fd, int timeout_ms, int cancel_fd) {
+  struct pollfd pfd[2]{};
+  pfd[0].fd = fd;
+  pfd[0].events = POLLIN;
+  pfd[1].fd = cancel_fd;
+  pfd[1].events = POLLIN;
   for (;;) {
-    const int rc = ::poll(&pfd, 1, timeout_ms <= 0 ? -1 : timeout_ms);
+    const int rc = ::poll(pfd, 2, timeout_ms <= 0 ? -1 : timeout_ms);
     if (rc < 0 && errno == EINTR) continue;
+    if (rc > 0 && pfd[1].revents != 0) return -1;
     return rc;
   }
 }
@@ -175,7 +179,8 @@ bool send_frame(int fd, std::string_view payload) {
 }
 
 std::optional<std::string> recv_frame(int fd, FrameReader& reader,
-                                      int timeout_ms, bool* timed_out) {
+                                      int timeout_ms, bool* timed_out,
+                                      int cancel_fd) {
   if (reader.corrupt()) {
     // A poisoned reader can never produce another frame; a caller that loops
     // on it would hang silently. Recovery is reconnect-only: drop the
@@ -190,7 +195,7 @@ std::optional<std::string> recv_frame(int fd, FrameReader& reader,
   for (;;) {
     if (auto payload = reader.next()) return payload;
     if (reader.corrupt()) return std::nullopt;
-    const int ready = wait_readable(fd, timeout_ms);
+    const int ready = wait_readable(fd, timeout_ms, cancel_fd);
     if (ready == 0) {
       if (timed_out != nullptr) *timed_out = true;
       return std::nullopt;
@@ -338,9 +343,10 @@ int connect_endpoint(const std::string& endpoint) {
   return set_cloexec(fd);
 }
 
-int accept_connection(int listen_fd, int timeout_ms, bool* timed_out) {
+int accept_connection(int listen_fd, int timeout_ms, bool* timed_out,
+                      int cancel_fd) {
   if (timed_out != nullptr) *timed_out = false;
-  const int ready = wait_readable(listen_fd, timeout_ms);
+  const int ready = wait_readable(listen_fd, timeout_ms, cancel_fd);
   if (ready == 0) {
     if (timed_out != nullptr) *timed_out = true;
     return -1;

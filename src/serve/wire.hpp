@@ -15,10 +15,11 @@
 ///
 /// Payloads are single-line JSON messages (campaign/jsonl.hpp flat objects)
 /// with a "type" key. The CRC turns any torn or corrupted stream into a hard
-/// framing error — the connection is dropped and the worker retransmits
-/// unacknowledged commits after reconnecting (the perfect-link idiom:
-/// at-least-once delivery below, exactly-once commit above, keyed by
-/// (scenario, trial) in the coordinator).
+/// framing error — the connection is dropped, and after reconnecting the
+/// worker retries its request and resends the rows of any unit whose seal
+/// has not been acked (the perfect-link idiom: at-least-once delivery below,
+/// exactly-once commit above, keyed by (scenario, trial) in the
+/// coordinator).
 
 namespace dualrad::serve {
 
@@ -85,23 +86,27 @@ class FrameReader {
 ///  - a payload on success,
 ///  - nullopt with *timed_out = true on timeout,
 ///  - nullopt with *timed_out = false on EOF / error / a stream that just
-///    turned corrupt (the caller must drop the connection).
+///    turned corrupt (the caller must drop the connection), or once
+///    `cancel_fd` (e.g. an eventfd; -1 = none) becomes readable.
 /// Throws std::logic_error if `reader` was ALREADY poisoned on entry: a
 /// corrupt reader can never yield another frame, so looping on it is a
 /// caller bug (reconnect with a fresh FrameReader instead).
 [[nodiscard]] std::optional<std::string> recv_frame(int fd, FrameReader& reader,
                                                     int timeout_ms,
-                                                    bool* timed_out);
+                                                    bool* timed_out,
+                                                    int cancel_fd = -1);
 
 // --- endpoints ---------------------------------------------------------------
 //
 // An endpoint string containing '/' is a Unix-domain socket path; otherwise
 // it is host:port (or :port / bare port for 127.0.0.1). All functions return
-// a connected/listening fd or -1 (with errno set).
+// a connected/listening fd or -1 (with errno set). accept_connection blocks
+// up to `timeout_ms` (0 = forever) and gives up with -1 once `cancel_fd`
+// (-1 = none) becomes readable.
 
 [[nodiscard]] int listen_endpoint(const std::string& endpoint);
 [[nodiscard]] int connect_endpoint(const std::string& endpoint);
 [[nodiscard]] int accept_connection(int listen_fd, int timeout_ms,
-                                    bool* timed_out);
+                                    bool* timed_out, int cancel_fd = -1);
 
 }  // namespace dualrad::serve

@@ -24,13 +24,13 @@ namespace jsonl = campaign::jsonl;
 namespace {
 
 /// Splice row fields into a typed wire message: take the canonical JSONL row
-/// and graft `"type":"commit","unit":N` onto the front of the object, so the
+/// and graft `"type":"row","unit":N` onto the front of the object, so the
 /// server can hand the payload straight to the canonical row parser.
-[[nodiscard]] std::string commit_payload(std::uint64_t unit,
-                                         const campaign::TrialRow& row) {
+[[nodiscard]] std::string row_payload(std::uint64_t unit,
+                                      const campaign::TrialRow& row) {
   std::string json = campaign::trials_to_jsonl({row});
   json.pop_back();  // trailing newline
-  return "{\"type\":\"commit\",\"unit\":" + std::to_string(unit) + "," +
+  return "{\"type\":\"row\",\"unit\":" + std::to_string(unit) + "," +
          json.substr(1);
 }
 
@@ -47,8 +47,8 @@ void sleep_checking_stop(std::chrono::milliseconds total,
   while (remaining.count() > 0) {
     if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
     const auto chunk = std::min<milliseconds>(remaining, milliseconds(50));
-    // Chunked cooperative wait; callers pass bounded, jittered delays
-    // (reconnect_backoff_delay / poll). lint: backoff-ok
+    // Chunked cooperative wait; callers pass bounded delays
+    // (reconnect_backoff_delay / injected stalls). lint: backoff-ok
     std::this_thread::sleep_for(chunk);
     remaining -= chunk;
   }
@@ -68,9 +68,8 @@ constexpr std::uint64_t kBackoffDomain = 0xB0FF0E55ull;
 
 /// One logical session with the coordinator, surviving reconnects. request()
 /// is at-least-once: a dropped connection mid-request reconnects (fresh
-/// hello handshake under the same worker id) and resends the same payload —
-/// which for commits is exactly the retransmit-unacked behaviour the
-/// coordinator's dedup expects.
+/// hello handshake under the same worker id) and resends the same payload.
+/// send() is at-most-once; the seal catches the rows it loses.
 class Session {
  public:
   Session(const std::function<int()>& connect, const WorkerOptions& options,
@@ -88,41 +87,49 @@ class Session {
            options_.stop->load(std::memory_order_relaxed);
   }
 
+  /// Identifies the current connection (0 while disconnected): a reply can
+  /// only be read on the connection its request went out on.
+  [[nodiscard]] std::uint64_t connection() const {
+    return fd_ >= 0 ? connections_ : 0;
+  }
+
   /// Send `payload` and return its reply; nullopt only on stop request.
   /// Throws std::runtime_error when the reconnect window is exhausted.
   [[nodiscard]] std::optional<std::string> request(const std::string& payload) {
     for (;;) {
       if (stop_requested()) return std::nullopt;
-      if (!ensure_connected()) return std::nullopt;
-      if (!send_frame(fd_, payload)) {
-        drop();
-        continue;
-      }
-      bool timed_out = false;
-      std::optional<std::string> reply =
-          recv_frame(fd_, reader_, options_.reply_timeout_ms, &timed_out);
-      if (!reply.has_value()) {
-        if (reader_.corrupt() && options_.log) {
-          // Reconnect-only recovery: the drop() below discards the poisoned
-          // reader with the connection (wire.hpp FrameReader contract).
-          options_.log("[worker " + worker_id_ + "] dropping connection: " +
-                       reader_.corrupt_reason());
-        }
-        drop();
-        continue;
-      }
-      return reply;
+      if (!send(payload)) continue;
+      if (std::optional<std::string> reply = receive()) return reply;
     }
   }
 
-  /// Best-effort one-way send (telemetry): one reconnect attempt, then give
-  /// up silently — telemetry is advisory and has no delivery contract.
-  void send_oneway(const std::string& payload) {
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      if (stop_requested() || !ensure_connected()) return;
-      if (send_frame(fd_, payload)) return;
+  /// Send one frame, connecting first if needed. On failure the connection
+  /// is dropped, so the next frame reconnects; the frame itself is not
+  /// retried. False also on stop request.
+  bool send(const std::string& payload) {
+    if (stop_requested() || !ensure_connected()) return false;
+    if (send_frame(fd_, payload)) return true;
+    drop();
+    return false;
+  }
+
+  /// The next reply on the current connection; nullopt (connection dropped)
+  /// on failure or when not connected.
+  [[nodiscard]] std::optional<std::string> receive() {
+    if (fd_ < 0) return std::nullopt;
+    bool timed_out = false;
+    std::optional<std::string> reply =
+        recv_frame(fd_, reader_, options_.reply_timeout_ms, &timed_out);
+    if (!reply.has_value()) {
+      if (reader_.corrupt() && options_.log) {
+        // Reconnect-only recovery: the drop() below discards the poisoned
+        // reader with the connection (wire.hpp FrameReader contract).
+        options_.log("[worker " + worker_id_ + "] dropping connection: " +
+                     reader_.corrupt_reason());
+      }
       drop();
     }
+    return reply;
   }
 
  private:
@@ -150,8 +157,7 @@ class Session {
       const int fd = connect_();
       if (fd >= 0 && handshake(fd)) {
         fd_ = fd;
-        if (connected_once_) ++stats_.reconnects;
-        connected_once_ = true;
+        if (connections_++ != 0) ++stats_.reconnects;
         return true;
       }
       if (fd >= 0) ::close(fd);
@@ -187,7 +193,7 @@ class Session {
   std::string worker_id_;
   int fd_ = -1;
   FrameReader reader_;
-  bool connected_once_ = false;
+  std::uint64_t connections_ = 0;  ///< successful connects so far
   std::uint64_t lifetime_attempts_ = 0;
 };
 
@@ -232,23 +238,85 @@ WorkerStats run_worker(const std::function<int()>& connect,
     if (options.log) options.log("[worker " + session.worker_id() + "] " + line);
   };
 
+  // The last finished unit, whose seal reply is still unread: its fsync runs
+  // on the coordinator while this worker computes the next unit.
+  struct PendingSeal {
+    std::string seal;
+    std::vector<std::string> rows;  ///< the unit's row frames, for `resend`
+    std::uint64_t connection = 0;   ///< where the seal went out; 0 = not sent
+  };
+  std::optional<PendingSeal> pending;
+
+  // Read the pending seal's reply (or request it again when its connection
+  // is gone) until it is acked; false on stop request.
+  const auto finish_seal = [&]() -> bool {
+    std::optional<std::string> reply;
+    if (pending->connection != 0 &&
+        pending->connection == session.connection()) {
+      reply = session.receive();
+    }
+    for (;;) {
+      if (!reply.has_value()) reply = session.request(pending->seal);
+      if (!reply.has_value()) return false;
+      const std::string_view type = jsonl::field(*reply, "type");
+      if (type == "ack") break;
+      if (type == "error") {
+        throw std::runtime_error("dualrad: seal rejected: " +
+                                 std::string(jsonl::field(*reply, "message")));
+      }
+      DUALRAD_REQUIRE(type == "resend",
+                      "unexpected seal reply type: " + std::string(type));
+      // Some row was lost with a connection: resend them all (the
+      // coordinator dedupes the ones it has) and seal again.
+      ++stats.resends;
+      log("resending " + std::to_string(pending->rows.size()) + " row(s)");
+      for (const std::string& row : pending->rows) session.send(row);
+      reply.reset();
+    }
+    stats.trials += pending->rows.size();
+    ++stats.units;
+    pending.reset();
+    return true;
+  };
+
   for (;;) {
     if (session.stop_requested()) {
       stats.stopped = true;
       break;
     }
-    const std::optional<std::string> reply = session.request(
-        "{\"type\":\"lease\",\"worker\":\"" + session.worker_id() + "\"}");
+    std::optional<std::string> reply;
+    if (pending.has_value()) {
+      // Ask for the next unit ahead of the pending seal, and without a
+      // long-poll, which would hold the seal back behind it; replies come in
+      // request order, so the unit arrives before the seal's fsync ends.
+      const std::string lease_now = "{\"type\":\"lease\",\"worker\":\"" +
+                                    session.worker_id() +
+                                    "\",\"long_poll\":false}";
+      if (session.send(lease_now) && session.send(pending->seal)) {
+        pending->connection = session.connection();
+        reply = session.receive();
+      }
+      if (!reply.has_value() || jsonl::field(*reply, "type") != "unit") {
+        if (!finish_seal()) {
+          stats.stopped = true;
+          break;
+        }
+        reply.reset();
+      }
+    }
+    // The coordinator long-polls the lease, so `wait`/`idle` mean "ask
+    // again now", never "sleep first".
+    if (!reply.has_value()) {
+      reply = session.request("{\"type\":\"lease\",\"worker\":\"" +
+                              session.worker_id() + "\"}");
+    }
     if (!reply.has_value()) {
       stats.stopped = true;
       break;
     }
     const std::string_view type = jsonl::field(*reply, "type");
     if (type == "done") break;
-    if (type == "wait" || type == "idle") {
-      sleep_checking_stop(options.poll, options.stop);
-      continue;
-    }
+    if (type == "wait" || type == "idle") continue;
     if (type == "error") {
       throw std::runtime_error("dualrad: coordinator rejected lease: " +
                                std::string(jsonl::field(*reply, "message")));
@@ -287,6 +355,9 @@ WorkerStats run_worker(const std::function<int()>& connect,
     campaign::TrialOptions trial_options;
     trial_options.threads_per_trial = threads;
     trial_options.collect_telemetry = telemetry;
+    // The unit's row frames, kept until the seal is acked.
+    std::vector<std::string> rows;
+    rows.reserve(trial_end - trial_begin);
     bool unit_complete = true;
     for (std::uint32_t trial = trial_begin; trial < trial_end; ++trial) {
       if (session.stop_requested()) {
@@ -296,7 +367,7 @@ WorkerStats run_worker(const std::function<int()>& connect,
       }
       const campaign::TrialExecutor::Outcome outcome =
           executor.run(trial, trial_options);
-      // Lifecycle fault point: crash or stall BEFORE the commit, so the
+      // Lifecycle fault point: crash or stall BEFORE the row is sent, so the
       // injected failure exercises the at-least-once window (the trial ran
       // but its row never reached the coordinator).
       if (FaultInjector* injector = fault_injector()) {
@@ -305,7 +376,7 @@ WorkerStats run_worker(const std::function<int()>& connect,
           case LifecycleFault::None:
             break;
           case LifecycleFault::Crash:
-            log("injected crash before commit of " + scenario_name + "#" +
+            log("injected crash before the row of " + scenario_name + "#" +
                 std::to_string(trial));
             if (options.crash) {
               options.crash();
@@ -313,33 +384,28 @@ WorkerStats run_worker(const std::function<int()>& connect,
             throw InjectedCrash();
           case LifecycleFault::Stall:
             log("injected stall (" + std::to_string(stall_ms) +
-                " ms) before commit of " + scenario_name + "#" +
+                " ms) before the row of " + scenario_name + "#" +
                 std::to_string(trial));
             sleep_checking_stop(std::chrono::milliseconds(stall_ms),
                                 options.stop);
             break;
         }
       }
-      if (telemetry) session.send_oneway(telemetry_payload(outcome.telemetry));
-      const std::optional<std::string> ack =
-          session.request(commit_payload(unit, outcome.row));
-      if (!ack.has_value()) {
-        stats.stopped = true;
-        unit_complete = false;
-        break;
-      }
-      const std::string_view ack_type = jsonl::field(*ack, "type");
-      if (ack_type == "error") {
-        throw std::runtime_error("dualrad: commit rejected: " +
-                                 std::string(jsonl::field(*ack, "message")));
-      }
-      DUALRAD_REQUIRE(ack_type == "ack",
-                      "unexpected commit reply type: " + std::string(ack_type));
-      if (jsonl::field(*ack, "dup") == "1") ++stats.duplicates;
-      ++stats.trials;
+      if (telemetry) session.send(telemetry_payload(outcome.telemetry));
+      rows.push_back(row_payload(unit, outcome.row));
+      session.send(rows.back());
     }
     if (!unit_complete) break;
-    ++stats.units;
+    if (pending.has_value() && !finish_seal()) {
+      stats.stopped = true;
+      break;
+    }
+    pending = PendingSeal{
+        "{\"type\":\"seal\",\"unit\":" + std::to_string(unit) +
+            ",\"scenario\":\"" + scenario_name +
+            "\",\"trial_begin\":" + std::to_string(trial_begin) +
+            ",\"trial_end\":" + std::to_string(trial_end) + "}",
+        std::move(rows)};
   }
 
   stats.worker_id = session.worker_id();

@@ -14,17 +14,22 @@
 
 /// \file worker.hpp
 /// The serve-mode worker: connects to a coordinator, pulls work units, runs
-/// their trials through campaign::TrialExecutor, and streams committed rows
-/// back over the wire.
+/// their trials through campaign::TrialExecutor, streams each finished row
+/// back over the wire and seals the unit.
 ///
-/// Reliability: requests are strict request/response; any socket failure
-/// (drop, timeout, CRC corruption) tears the connection down and the worker
-/// reconnects and retries the in-flight request. Commits are the only
-/// request with side effects, and the coordinator dedupes them byte-wise, so
-/// retransmit-on-reconnect is safe — at-least-once below, exactly-once
-/// above. A commit answered with `error` is fatal: it means this worker
-/// produced different bytes for a trial than an earlier commit, which under
-/// the determinism contract means a mismatched binary or grid.
+/// Each unit's seal reply is read only once the next unit has run: the
+/// worker leases the next unit (without a long-poll) ahead of the seal, so
+/// the coordinator's fsync for one unit overlaps the trials of the next.
+///
+/// Reliability: rows are one-way frames, buffered until the unit's seal is
+/// acked. Any socket failure (drop, timeout, CRC corruption) tears the
+/// connection down; the next frame reconnects and requests are retried on
+/// the new connection. Rows lost with a connection come back through the
+/// seal: the coordinator answers `resend` and the worker resends the unit's
+/// rows, which the coordinator dedupes byte-wise — at-least-once below,
+/// exactly-once above. A seal answered with `error` is fatal: it means this
+/// worker produced different bytes for a trial than an earlier row, which
+/// under the determinism contract means a mismatched binary or grid.
 
 namespace dualrad::serve {
 
@@ -33,8 +38,6 @@ struct WorkerOptions {
   std::string worker_id;
   /// Overrides the coordinator-provided threads_per_trial when nonzero.
   unsigned threads_per_trial = 0;
-  /// Pause between lease polls when the coordinator says `wait` or `idle`.
-  std::chrono::milliseconds poll{300};
   /// Reconnect backoff: attempt k (within one disconnected episode) waits
   /// min(backoff_max, backoff_base * 2^k) scaled by a deterministic jitter
   /// factor in [0.5, 1.5) keyed by (worker id, lifetime attempt count) — so
@@ -47,8 +50,9 @@ struct WorkerOptions {
   /// Receive timeout for each expected reply.
   int reply_timeout_ms = 30'000;
   /// Optional cooperative stop: checked between trials and between
-  /// requests; when set, the worker returns early (its lease expires and
-  /// the unit is reissued elsewhere).
+  /// requests (a lease long-poll may delay it by up to a second); when set,
+  /// the worker returns early (its lease expires and the unit is reissued
+  /// elsewhere).
   const std::atomic<bool>* stop = nullptr;
   /// Optional progress logger (one line per event).
   std::function<void(const std::string&)> log;
@@ -63,14 +67,14 @@ struct WorkerStats {
   std::string worker_id;
   std::size_t units = 0;
   std::size_t trials = 0;
-  std::size_t duplicates = 0;  ///< commits the coordinator had already seen
+  std::size_t resends = 0;  ///< seals answered `resend` (unit rows resent)
   std::size_t reconnects = 0;
   bool stopped = false;  ///< true if options.stop ended the run early
 };
 
 /// Thrown by the default WorkerOptions::crash handler when an installed
 /// faultline injector kills the worker mid-unit. In-process harnesses catch
-/// it and restart run_worker; the campaign heals via lease expiry + commit
+/// it and restart run_worker; the campaign heals via lease expiry + row
 /// dedup.
 struct InjectedCrash : std::runtime_error {
   InjectedCrash() : std::runtime_error("dualrad: injected worker crash") {}
@@ -88,7 +92,7 @@ struct InjectedCrash : std::runtime_error {
 /// -1; it is invoked for the initial connection and after every drop.
 /// `catalogue` must contain every scenario the coordinator may dispatch
 /// (unknown scenarios throw). Throws std::runtime_error when the
-/// reconnection window is exhausted or a commit is rejected.
+/// reconnection window is exhausted or a seal is rejected.
 WorkerStats run_worker(const std::function<int()>& connect,
                        const std::vector<campaign::Scenario>& catalogue,
                        const WorkerOptions& options = {});

@@ -4,7 +4,9 @@
 #
 #   1. a reference batch run of the same grid and master seed;
 #   2. serve mode with worker pools of 1, 2, and 4 — merged exports must be
-#      byte-identical (cmp) to the batch run;
+#      byte-identical (cmp) to the batch run; then `serve --resume` on the
+#      pool-4 journal resumes every trial, appends nothing and reproduces
+#      the same bytes (every acked row reached the journal);
 #   3. a worker kill -9 mid-campaign: its lease expires, the unit is
 #      reissued to a healthy worker, merged export still byte-identical;
 #   4. a coordinator kill -9 mid-campaign: a fresh coordinator resumes from
@@ -70,6 +72,18 @@ for n in 1 2 4; do
   cmp "$WORK/batch.csv" "$WORK/pool$n.csv"
   echo "   $n worker(s): byte-identical"
 done
+
+echo "== serve --resume on the pool-4 journal (every sealed row is journaled)"
+cp "$WORK/pool4.journal" "$WORK/pool4.journal.before"
+TOTAL=$(wc -l <"$WORK/batch.jsonl")
+"$SERVE" serve --listen="$WORK/reload.sock" --filter=$FILTER --seed=$SEED \
+  --trials=$TRIALS --unit-trials=8 \
+  --journal="$WORK/pool4.journal" --resume \
+  --jsonl="$WORK/reload.jsonl" --quiet 2>"$WORK/reload.log"
+grep -q "($TOTAL resumed)" "$WORK/reload.log"
+cmp "$WORK/pool4.journal.before" "$WORK/pool4.journal"
+cmp "$WORK/batch.jsonl" "$WORK/reload.jsonl"
+echo "   all $TOTAL trial(s) resumed, nothing new journaled: byte-identical"
 
 echo "== worker kill -9 mid-campaign (lease expiry + reissue)"
 "$SERVE" serve --listen="$WORK/kill.sock" --filter=$FILTER --seed=$SEED \

@@ -21,6 +21,7 @@
 #include "campaign/contract.hpp"
 #include "campaign/engine.hpp"
 #include "campaign/export.hpp"
+#include "campaign/jsonl.hpp"
 #include "campaign/registry.hpp"
 #include "graph/dual_builders.hpp"
 #include "obs/heartbeat.hpp"
@@ -265,8 +266,18 @@ TEST(ServeExecutor, MatchesTheBatchEnginePerTrial) {
 
 // --- coordinator -------------------------------------------------------------
 
+/// Commit one leased unit in-process: add every row, then seal it.
+Coordinator::Seal run_unit(Coordinator& coordinator,
+                           const campaign::TrialExecutor& executor,
+                           const JobSpec& job) {
+  for (std::uint32_t t = job.trial_begin; t < job.trial_end; ++t) {
+    (void)coordinator.add_row(executor.run(t).row);
+  }
+  return coordinator.seal(job.scenario, job.trial_begin, job.trial_end);
+}
+
 /// Drain a coordinator in-process: lease units and run them on a
-/// TrialExecutor, committing every row. Exercises the library API without
+/// TrialExecutor, committing every unit. Exercises the library API without
 /// sockets.
 void drain(Coordinator& coordinator, const std::vector<Scenario>& scenarios,
            const std::string& worker) {
@@ -277,9 +288,7 @@ void drain(Coordinator& coordinator, const std::vector<Scenario>& scenarios,
     ASSERT_TRUE(job.has_value()) << "units leased out but campaign not done";
     const campaign::TrialExecutor executor(*by_name.at(job->scenario),
                                            job->master_seed);
-    for (std::uint32_t t = job->trial_begin; t < job->trial_end; ++t) {
-      (void)coordinator.commit(executor.run(t).row);
-    }
+    ASSERT_EQ(run_unit(coordinator, executor, *job), Coordinator::Seal::Ack);
   }
 }
 
@@ -309,12 +318,12 @@ TEST(ServeCoordinator, ExpiredLeasesAreReissuedAndReplaysDedupe) {
   Coordinator coordinator(config);
   coordinator.load_campaign(scenarios);
 
-  // Worker A leases a unit, commits ONE of its two trials, then dies.
+  // Worker A leases a unit, sends ONE of its two rows, then dies.
   const std::optional<JobSpec> first = coordinator.lease("a");
   ASSERT_TRUE(first.has_value());
   const campaign::TrialExecutor executor(scenarios[0], 9);
-  EXPECT_EQ(coordinator.commit(executor.run(first->trial_begin).row),
-            Coordinator::Commit::Accepted);
+  EXPECT_EQ(coordinator.add_row(executor.run(first->trial_begin).row),
+            Coordinator::Row::Accepted);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
 
@@ -322,12 +331,16 @@ TEST(ServeCoordinator, ExpiredLeasesAreReissuedAndReplaysDedupe) {
   const std::optional<JobSpec> second = coordinator.lease("b");
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->unit, first->unit);
-  // ...whose re-run of the committed trial dedupes, and whose fresh trial
-  // commits.
-  EXPECT_EQ(coordinator.commit(executor.run(second->trial_begin).row),
-            Coordinator::Commit::Duplicate);
-  EXPECT_EQ(coordinator.commit(executor.run(second->trial_begin + 1).row),
-            Coordinator::Commit::Accepted);
+  // ...whose re-run of the received trial dedupes, and whose fresh trial
+  // is accepted; the seal then completes the unit.
+  EXPECT_EQ(coordinator.add_row(executor.run(second->trial_begin).row),
+            Coordinator::Row::Duplicate);
+  EXPECT_EQ(coordinator.add_row(executor.run(second->trial_begin + 1).row),
+            Coordinator::Row::Accepted);
+  EXPECT_EQ(coordinator.status().units_done, 0u);
+  EXPECT_EQ(coordinator.seal(second->scenario, second->trial_begin,
+                             second->trial_end),
+            Coordinator::Seal::Ack);
   EXPECT_EQ(coordinator.status().units_done, 1u);
 }
 
@@ -341,19 +354,25 @@ TEST(ServeCoordinator, RejectsConflictingAndForeignCommits) {
 
   const campaign::TrialExecutor executor(scenarios[0], 9);
   const TrialRow row = executor.run(0).row;
-  EXPECT_EQ(coordinator.commit(row), Coordinator::Commit::Accepted);
+  EXPECT_EQ(coordinator.add_row(row), Coordinator::Row::Accepted);
 
   TrialRow conflicting = row;
   conflicting.sends += 1;  // different bytes for the same (scenario, trial)
-  EXPECT_THROW((void)coordinator.commit(conflicting), std::runtime_error);
+  EXPECT_THROW((void)coordinator.add_row(conflicting), std::runtime_error);
 
   TrialRow wrong_seed = executor.run(1).row;
   wrong_seed.seed ^= 1;  // not the derived trial seed
-  EXPECT_THROW((void)coordinator.commit(wrong_seed), std::invalid_argument);
+  EXPECT_THROW((void)coordinator.add_row(wrong_seed), std::invalid_argument);
 
   TrialRow unknown = row;
   unknown.scenario = "serve/strict/other";
-  EXPECT_THROW((void)coordinator.commit(unknown), std::invalid_argument);
+  EXPECT_THROW((void)coordinator.add_row(unknown), std::invalid_argument);
+
+  // Seals are checked the same way.
+  EXPECT_THROW((void)coordinator.seal("serve/strict/other", 0, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)coordinator.seal(row.scenario, 2, 9),
+               std::invalid_argument);
 }
 
 TEST(ServeCoordinator, ResumeSkipsJournaledTrialsAndStaysByteIdentical) {
@@ -446,7 +465,6 @@ TEST(ServeSocket, WorkerPoolsOfOneTwoFourAreByteIdentical) {
     for (unsigned w = 0; w < workers; ++w) {
       pool.emplace_back([&, w] {
         WorkerOptions options;
-        options.poll = std::chrono::milliseconds(10);
         stats[w] = run_worker(net.connector(), scenarios, options);
       });
     }
@@ -494,7 +512,6 @@ TEST(ServeSocket, StoppedWorkerIsReplacedWithoutChangingTheBytes) {
   std::atomic<bool> kill_a{false};
   std::thread a([&] {
     WorkerOptions options;
-    options.poll = std::chrono::milliseconds(10);
     options.stop = &kill_a;
     (void)run_worker(net.connector(), slowed, options);
   });
@@ -506,7 +523,6 @@ TEST(ServeSocket, StoppedWorkerIsReplacedWithoutChangingTheBytes) {
   ASSERT_FALSE(coordinator.done());
 
   WorkerOptions options;
-  options.poll = std::chrono::milliseconds(10);
   const WorkerStats b_stats = run_worker(net.connector(), scenarios, options);
   EXPECT_FALSE(b_stats.stopped);
 
@@ -554,10 +570,257 @@ TEST(ServeSocket, SubmitAndStatusDriveAnIdleCoordinator) {
             std::string::npos);
 
   WorkerOptions options;
-  options.poll = std::chrono::milliseconds(10);
   const WorkerStats stats = run_worker(net.connector(), scenarios, options);
   EXPECT_EQ(stats.trials, 8u);  // the two harmonic scenarios, 4 trials each
   EXPECT_TRUE(coordinator.done());
+}
+
+// --- per-unit commit protocol -----------------------------------------------
+
+/// A `row` frame as the worker sends it: the canonical row with the message
+/// type and unit id grafted on.
+[[nodiscard]] std::string row_frame(std::uint64_t unit, const TrialRow& row) {
+  std::string json = campaign::trials_to_jsonl({row});
+  json.pop_back();
+  return "{\"type\":\"row\",\"unit\":" + std::to_string(unit) + "," +
+         json.substr(1);
+}
+
+/// One request/reply exchange on an open connection; "" on failure.
+[[nodiscard]] std::string exchange(int fd, const std::string& payload) {
+  if (!send_frame(fd, payload)) return "";
+  FrameReader reader;
+  bool timed_out = false;
+  return recv_frame(fd, reader, 5000, &timed_out).value_or("");
+}
+
+[[nodiscard]] std::string reply_type(const std::string& reply) {
+  return reply.empty() ? "" : std::string(campaign::jsonl::field(reply, "type"));
+}
+
+[[nodiscard]] Scenario sixteen_trials(const std::string& name) {
+  Scenario s = cheap_scenario(name);
+  s.trials = 16;
+  return s;
+}
+
+TEST(ServeSeal, OneFsyncPerUnitAndEveryRowJournaled) {
+  const std::vector<Scenario> scenarios = {sixteen_trials("serve/seal/16")};
+  const auto [ref_trials, ref_summaries] = batch_reference(scenarios, 41);
+
+  const TempPath journal("seal");
+  Coordinator::Config config;
+  config.master_seed = 41;
+  config.unit_trials = 4;
+  config.journal_path = journal.path;
+  Coordinator coordinator(config);
+  coordinator.load_campaign(scenarios);
+  Server server(coordinator, {});
+  LoopbackNet net(server);
+
+  const WorkerStats stats = run_worker(net.connector(), scenarios);
+  EXPECT_EQ(stats.units, 4u);
+  EXPECT_EQ(stats.trials, 16u);
+  EXPECT_EQ(stats.resends, 0u);
+
+  const Coordinator::Status status = coordinator.status();
+  EXPECT_EQ(status.journal_syncs, 4u);  // one fsync per unit, not per trial
+  EXPECT_EQ(status.seals, 4u);
+  EXPECT_EQ(status.row_resends, 0u);
+  EXPECT_GE(status.journal_sync_ms, 0.0);
+  EXPECT_EQ(load_journal(journal.path).rows.size(), 16u);
+
+  const CampaignResult result = coordinator.finalize();
+  EXPECT_EQ(campaign::trials_to_jsonl(result.trials), ref_trials);
+  EXPECT_EQ(campaign::summaries_to_jsonl(result.summaries), ref_summaries);
+}
+
+TEST(ServeSeal, SealBeforeEveryRowArrivedGetsResendNeverAck) {
+  const std::vector<Scenario> scenarios = {cheap_scenario("serve/seal/early")};
+  Coordinator::Config config;
+  config.master_seed = 43;
+  config.unit_trials = 0;  // one unit of four trials
+  Coordinator coordinator(config);
+  coordinator.load_campaign(scenarios);
+  Server server(coordinator, {});
+  LoopbackNet net(server);
+
+  const int fd = net.connector()();
+  ASSERT_GE(fd, 0);
+  const std::string unit =
+      exchange(fd, "{\"type\":\"lease\",\"worker\":\"w\"}");
+  ASSERT_EQ(reply_type(unit), "unit");
+  const std::string seal =
+      "{\"type\":\"seal\",\"unit\":0,\"scenario\":\"serve/seal/early\","
+      "\"trial_begin\":0,\"trial_end\":4}";
+
+  const campaign::TrialExecutor executor(scenarios[0], 43);
+  for (std::uint32_t t = 0; t < 3; ++t) {
+    ASSERT_TRUE(send_frame(fd, row_frame(0, executor.run(t).row)));
+  }
+  // Three of four rows: the seal must not be acked, nor the unit finish.
+  EXPECT_EQ(reply_type(exchange(fd, seal)), "resend");
+  EXPECT_EQ(reply_type(exchange(fd, seal)), "resend");
+  EXPECT_FALSE(coordinator.done());
+  EXPECT_EQ(coordinator.status().units_done, 0u);
+  EXPECT_EQ(coordinator.status().row_resends, 2u);
+
+  ASSERT_TRUE(send_frame(fd, row_frame(0, executor.run(3).row)));
+  EXPECT_EQ(reply_type(exchange(fd, seal)), "ack");
+  EXPECT_TRUE(coordinator.done());
+  EXPECT_EQ(coordinator.status().seals, 1u);
+
+  // A rejected row (here: a conflicting replay) surfaces at the next seal.
+  TrialRow conflicting = executor.run(0).row;
+  conflicting.sends += 1;
+  ASSERT_TRUE(send_frame(fd, row_frame(0, conflicting)));
+  EXPECT_EQ(reply_type(exchange(fd, seal)), "error");
+  ::close(fd);
+}
+
+TEST(ServeSeal, FsyncFailureAtSealDegradesTheJournalAndStillAcks) {
+  const std::vector<Scenario> scenarios = {cheap_scenario("serve/seal/eio")};
+  const auto [ref_trials, ref_summaries] = batch_reference(scenarios, 47);
+
+  const TempPath journal("seal_eio");
+  Coordinator::Config config;
+  config.master_seed = 47;
+  config.unit_trials = 0;
+  config.journal_path = journal.path;
+  Coordinator coordinator(config);
+  coordinator.load_campaign(scenarios);
+  const std::optional<JobSpec> job = coordinator.lease("w");
+  ASSERT_TRUE(job.has_value());
+
+  const campaign::TrialExecutor executor(scenarios[0], 47);
+  {
+    FaultPlan plan;
+    plan.fsync_eio = 1.0;
+    FaultInjector injector(plan);
+    const ScopedFaultInjector guard(injector);
+    EXPECT_EQ(run_unit(coordinator, executor, *job), Coordinator::Seal::Ack);
+  }
+  const Coordinator::Status status = coordinator.status();
+  EXPECT_EQ(status.journal_errors, 1u);
+  EXPECT_EQ(status.journal_syncs, 1u);
+  EXPECT_EQ(status.seals, 1u);
+  EXPECT_TRUE(coordinator.done());
+
+  const CampaignResult result = coordinator.finalize();
+  EXPECT_EQ(campaign::trials_to_jsonl(result.trials), ref_trials);
+  EXPECT_EQ(campaign::summaries_to_jsonl(result.summaries), ref_summaries);
+  // The lines reached the file; only their durability was in doubt.
+  EXPECT_EQ(load_journal(journal.path).rows.size(), 4u);
+}
+
+TEST(ServeSeal, LongPollingWorkerHearsDoneAtTheFinalSeal) {
+  const std::vector<Scenario> scenarios = {cheap_scenario("serve/seal/poll")};
+  Coordinator::Config config;
+  config.master_seed = 53;
+  config.unit_trials = 0;
+  config.adaptive_lease = false;  // no lease expiry or speculation in reach
+  Coordinator coordinator(config);
+  coordinator.load_campaign(scenarios);
+  Server server(coordinator, {});
+  LoopbackNet net(server);
+
+  // The only unit is out, so the worker's lease long-polls.
+  const std::optional<JobSpec> held = coordinator.lease("holder");
+  ASSERT_TRUE(held.has_value());
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point worker_done;
+  WorkerStats stats;
+  std::thread worker([&] {
+    stats = run_worker(net.connector(), scenarios);
+    worker_done = Clock::now();
+  });
+  while (coordinator.status().workers == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const campaign::TrialExecutor executor(scenarios[0], 53);
+  ASSERT_EQ(run_unit(coordinator, executor, *held), Coordinator::Seal::Ack);
+  const Clock::time_point sealed = Clock::now();
+  worker.join();
+  EXPECT_LT(worker_done - sealed, std::chrono::milliseconds(100));
+  EXPECT_EQ(stats.units, 0u);
+  EXPECT_FALSE(stats.stopped);
+}
+
+/// A listening Unix socket plus its accept loop, for tests that need the
+/// real accept path.
+class ListeningServer {
+ public:
+  ListeningServer(Server& server, const std::string& path)
+      : server_(server), path_(path), fd_(listen_endpoint(path)) {
+    EXPECT_GE(fd_, 0);
+    thread_ = std::thread([this] { server_.run_accept_loop(fd_); });
+  }
+  ~ListeningServer() {
+    stop();
+    ::close(fd_);
+    ::unlink(path_.c_str());
+  }
+  void stop() {
+    server_.request_stop();
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  Server& server_;
+  std::string path_;
+  int fd_;
+  std::thread thread_;
+};
+
+TEST(ServeServer, StopWakesTheAcceptLoopAndBlockedHandlersAtOnce) {
+  const std::vector<Scenario> scenarios = {cheap_scenario("serve/stop/one")};
+  Coordinator::Config config;
+  config.unit_trials = 0;
+  config.adaptive_lease = false;
+  Coordinator coordinator(config);
+  coordinator.load_campaign(scenarios);
+  ASSERT_TRUE(coordinator.lease("holder").has_value());
+  Server server(coordinator, {});
+  const TempPath socket("stop_sock");
+  ListeningServer listening(server, socket.path);
+
+  // One connection parked in a lease long-poll, one idle in recv.
+  const int polling = connect_endpoint(socket.path);
+  const int idle = connect_endpoint(socket.path);
+  ASSERT_GE(polling, 0);
+  ASSERT_GE(idle, 0);
+  ASSERT_TRUE(send_frame(polling, "{\"type\":\"lease\",\"worker\":\"w\"}"));
+  while (server.handler_threads() < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  listening.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(100));
+  ::close(polling);
+  ::close(idle);
+}
+
+// Regression: the accept loop used to keep every handler thread until
+// shutdown, so a long-lived coordinator grew one finished thread per status
+// RPC.
+TEST(ServeServer, AcceptLoopReapsFinishedHandlers) {
+  Coordinator coordinator(Coordinator::Config{});
+  Server server(coordinator, {});
+  const TempPath socket("reap_sock");
+  ListeningServer listening(server, socket.path);
+
+  for (int i = 0; i < 300; ++i) {
+    const int fd = connect_endpoint(socket.path);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(reply_type(exchange(fd, "{\"type\":\"status\"}")), "state");
+    ::close(fd);
+  }
+  EXPECT_LE(server.handler_threads(), 16u);
 }
 
 // --- engine cancel + resume --------------------------------------------------
@@ -701,7 +964,7 @@ TEST(ServeHeartbeat, ConcurrentObserversAndStop) {
   }
 }
 
-// Coordinator status snapshots race against lease/commit traffic in serve
+// Coordinator status snapshots race against lease/row/seal traffic in serve
 // mode (one thread per connection); hammer them concurrently so TSan can
 // prove the locking, and check the final snapshot is coherent.
 TEST(ServeCoordinator, ConcurrentStatusDuringCommits) {
@@ -733,9 +996,7 @@ TEST(ServeCoordinator, ConcurrentStatusDuringCommits) {
       while (const std::optional<JobSpec> job = coordinator.lease("stress")) {
         const campaign::TrialExecutor executor(*by_name.at(job->scenario),
                                                job->master_seed);
-        for (std::uint32_t t = job->trial_begin; t < job->trial_end; ++t) {
-          (void)coordinator.commit(executor.run(t).row);
-        }
+        (void)run_unit(coordinator, executor, *job);
       }
     });
   }
@@ -856,7 +1117,6 @@ TEST(ServeFaultline, WireChaosPoolsAreByteIdenticalToBatch) {
     for (unsigned w = 0; w < workers; ++w) {
       pool.emplace_back([&] {
         WorkerOptions options;
-        options.poll = std::chrono::milliseconds(10);
         options.backoff_base = std::chrono::milliseconds(2);
         options.backoff_max = std::chrono::milliseconds(40);
         (void)run_worker(net.connector(), scenarios, options);
@@ -873,6 +1133,43 @@ TEST(ServeFaultline, WireChaosPoolsAreByteIdenticalToBatch) {
   }
   // The plan's probabilities guarantee traffic was actually disturbed.
   EXPECT_GT(injector.totals().total(), 0u);
+}
+
+TEST(ServeFaultline, LostRowFramesAreResentAtTheSeal) {
+  std::vector<Scenario> scenarios = cheap_campaign();
+  for (Scenario& s : scenarios) s.trials = 12;
+  const auto [ref_trials, ref_summaries] = batch_reference(scenarios, 59);
+
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.drop = 0.08;
+  plan.reset = 0.04;
+  FaultInjector injector(plan);
+  const ScopedFaultInjector guard(injector);
+
+  Coordinator::Config config;
+  config.master_seed = 59;
+  config.unit_trials = 4;
+  config.lease_secs = 0.3;  // reissue units whose lease reply was lost
+  config.adaptive_lease = false;
+  config.max_unit_expiries = 0;
+  Coordinator coordinator(config);
+  coordinator.load_campaign(scenarios);
+  Server server(coordinator, {});
+  LoopbackNet net(server);
+
+  WorkerOptions options;
+  options.backoff_base = std::chrono::milliseconds(2);
+  options.backoff_max = std::chrono::milliseconds(40);
+  const WorkerStats stats = run_worker(net.connector(), scenarios, options);
+
+  ASSERT_TRUE(coordinator.done());
+  EXPECT_GT(injector.totals().drops + injector.totals().resets, 0u);
+  EXPECT_GT(coordinator.status().row_resends, 0u);
+  EXPECT_GT(stats.resends, 0u);
+  const CampaignResult result = coordinator.finalize();
+  EXPECT_EQ(campaign::trials_to_jsonl(result.trials), ref_trials);
+  EXPECT_EQ(campaign::summaries_to_jsonl(result.summaries), ref_summaries);
 }
 
 TEST(ServeFaultline, InjectedCrashesHealThroughRestartAndRequeue) {
@@ -900,7 +1197,6 @@ TEST(ServeFaultline, InjectedCrashesHealThroughRestartAndRequeue) {
   // harness plays supervisor and restarts the worker until the campaign
   // drains. Every crash loses an uncommitted trial, re-run after requeue.
   WorkerOptions options;
-  options.poll = std::chrono::milliseconds(10);
   int restarts = 0;
   for (;;) {
     try {
@@ -965,12 +1261,15 @@ TEST(ServeCoordinator, PoisonUnitsAreQuarantinedAndLateCommitsHeal) {
   EXPECT_TRUE(partial.trials.empty());
   EXPECT_TRUE(partial.summaries.empty());
 
-  // Late commits are still accepted and heal the unit back to Done.
+  // A late unit is still accepted and heals back to Done at its seal.
   const campaign::TrialExecutor executor(scenarios[0], 13);
   for (std::uint32_t t = 0; t < 4; ++t) {
-    EXPECT_EQ(coordinator.commit(executor.run(t).row),
-              Coordinator::Commit::Accepted);
+    EXPECT_EQ(coordinator.add_row(executor.run(t).row),
+              Coordinator::Row::Accepted);
   }
+  EXPECT_EQ(coordinator.status().units_quarantined, 1u);
+  EXPECT_EQ(coordinator.seal("serve/poison/one", 0, 4),
+            Coordinator::Seal::Ack);
   EXPECT_EQ(coordinator.status().units_quarantined, 0u);
   EXPECT_TRUE(coordinator.quarantined().empty());
   const CampaignResult healed = coordinator.finalize();
@@ -997,14 +1296,12 @@ TEST(ServeCoordinator, PartialQuarantineExportsTheCommittedSubset) {
   const std::optional<JobSpec> first = coordinator.lease("w");
   ASSERT_TRUE(first.has_value());
   ASSERT_EQ(first->scenario, "serve/subset/done");
-  for (std::uint32_t t = 0; t < 4; ++t) {
-    (void)coordinator.commit(done_exec.run(t).row);
-  }
+  ASSERT_EQ(run_unit(coordinator, done_exec, *first), Coordinator::Seal::Ack);
   const std::optional<JobSpec> second = coordinator.lease("w");
   ASSERT_TRUE(second.has_value());
   ASSERT_EQ(second->scenario, "serve/subset/poison");
-  (void)coordinator.commit(poison_exec.run(0).row);  // half-done, then stuck
-  (void)coordinator.commit(poison_exec.run(1).row);
+  (void)coordinator.add_row(poison_exec.run(0).row);  // half-done, then stuck
+  (void)coordinator.add_row(poison_exec.run(1).row);
   std::this_thread::sleep_for(std::chrono::milliseconds(25));
   EXPECT_FALSE(coordinator.lease("w").has_value());  // sweep quarantines
 
@@ -1052,12 +1349,10 @@ TEST(ServeCoordinator, SpeculativeRedispatchHandsStragglersToIdleWorkers) {
   // ...but only one copy per lease term.
   EXPECT_FALSE(coordinator.lease("idle2").has_value());
 
-  // Either holder finishing the unit finishes the campaign (commit dedup
-  // makes the duplicate execution harmless).
+  // Either holder finishing the unit finishes the campaign (row dedup makes
+  // the duplicate execution harmless).
   const campaign::TrialExecutor executor(scenarios[0], 19);
-  for (std::uint32_t t = 0; t < 4; ++t) {
-    (void)coordinator.commit(executor.run(t).row);
-  }
+  EXPECT_EQ(run_unit(coordinator, executor, *copy), Coordinator::Seal::Ack);
   EXPECT_TRUE(coordinator.done());
   EXPECT_EQ(coordinator.status().units_done, 1u);
 }
@@ -1236,22 +1531,24 @@ TEST(ServeCoordinator, JournalFailureDegradesButCommitsSurvive) {
   ASSERT_TRUE(coordinator.lease("w").has_value());
 
   const campaign::TrialExecutor executor(scenarios[0], 29);
-  EXPECT_EQ(coordinator.commit(executor.run(0).row),
-            Coordinator::Commit::Accepted);
+  EXPECT_EQ(coordinator.add_row(executor.run(0).row),
+            Coordinator::Row::Accepted);
   {
-    // Disk dies: the commit still succeeds (availability over durability),
+    // Disk dies: the row is still accepted (availability over durability),
     // checkpointing is disabled and counted.
     FaultPlan plan;
     plan.append_enospc = 1.0;
     FaultInjector injector(plan);
     const ScopedFaultInjector guard(injector);
-    EXPECT_EQ(coordinator.commit(executor.run(1).row),
-              Coordinator::Commit::Accepted);
+    EXPECT_EQ(coordinator.add_row(executor.run(1).row),
+              Coordinator::Row::Accepted);
   }
   EXPECT_EQ(coordinator.status().journal_errors, 1u);
   for (std::uint32_t t = 2; t < 4; ++t) {
-    (void)coordinator.commit(executor.run(t).row);
+    (void)coordinator.add_row(executor.run(t).row);
   }
+  EXPECT_EQ(coordinator.seal("serve/degrade/one", 0, 4),
+            Coordinator::Seal::Ack);
   EXPECT_TRUE(coordinator.done());
   const CampaignResult result = coordinator.finalize();
   EXPECT_EQ(campaign::trials_to_jsonl(result.trials), ref_trials);
@@ -1312,9 +1609,10 @@ TEST(ServeCoordinator, ResumeReplaysJournaledTelemetry) {
     ASSERT_TRUE(coordinator.lease("w").has_value());
     const campaign::TrialExecutor executor(scenarios[0], 37);
     for (std::uint32_t t = 0; t < 4; ++t) {
-      (void)coordinator.commit(executor.run(t).row);
+      (void)coordinator.add_row(executor.run(t).row);
       coordinator.add_telemetry(sample_telemetry(scenarios[0].name, t));
     }
+    (void)coordinator.seal(scenarios[0].name, 0, 4);
     ASSERT_TRUE(coordinator.done());
     first_run_telemetry =
         campaign::telemetry_to_jsonl(coordinator.finalize().telemetry);

@@ -103,7 +103,7 @@ void usage() {
       "  --trials=N          override every scenario's trial count\n"
       "  --unit-trials=N     trials per work unit / lease (default 4;\n"
       "                      0 = one unit per scenario)\n"
-      "  --lease-secs=S      requeue a unit not committed within S seconds\n"
+      "  --lease-secs=S      requeue a unit not sealed within S seconds\n"
       "                      (default 30)\n"
       "  --journal=PATH      crash-safe checkpoint journal (recommended)\n"
       "  --resume            load --journal first and skip committed trials\n"
@@ -377,22 +377,29 @@ int run_serve(const Options& options) {
         extra +=
             " | " + std::to_string(s.journal_errors) + " journal error(s)";
       }
+      if (s.row_resends != 0) {
+        extra += " | " + std::to_string(s.row_resends) + " resend(s)";
+      }
       if (injector.has_value()) {
         extra += " | faults: " + injector->totals().summary();
       }
       std::fprintf(stderr,
                    "[serve] %zu/%zu trials | units %zu pending %zu leased "
-                   "%zu done | %zu worker(s) | lease %zu ms%s\n",
+                   "%zu done | %zu seal(s), %zu fsync(s) %.1f ms | "
+                   "%zu worker(s) | lease %zu ms%s\n",
                    s.committed, s.total_trials, s.units_pending,
-                   s.units_leased, s.units_done, s.workers,
-                   s.lease_ms_effective, extra.c_str());
+                   s.units_leased, s.units_done, s.seals, s.journal_syncs,
+                   s.journal_sync_ms, s.workers, s.lease_ms_effective,
+                   extra.c_str());
     });
   }
 
-  // Supervision loop: besides waiting for completion, reap exited workers
-  // (WNOHANG) and respawn replacements while the campaign is unfinished — a
-  // worker lost to an injected crash (or a real one) must not shrink the
-  // pool. Bounded so a worker dying instantly on startup cannot fork-bomb.
+  // Supervision loop: wait for completion (wait_done returns the moment the
+  // last seal lands; the timeout only paces signal checks and child reaps),
+  // reap exited workers (WNOHANG) and respawn replacements while the
+  // campaign is unfinished — a worker lost to an injected crash (or a real
+  // one) must not shrink the pool. Bounded so a worker dying instantly on
+  // startup cannot fork-bomb.
   bool interrupted = false;
   unsigned respawns = 0;
   constexpr unsigned kMaxRespawns = 512;
@@ -401,13 +408,7 @@ int run_serve(const Options& options) {
       interrupted = true;
       break;
     }
-    if (coordinator.campaign_loaded() &&
-        coordinator.wait_done(std::chrono::milliseconds(200))) {
-      break;
-    }
-    if (!coordinator.campaign_loaded()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
+    if (coordinator.wait_done(std::chrono::milliseconds(200))) break;
     for (pid_t& pid : children) {
       if (pid <= 0) continue;
       int wstatus = 0;
@@ -430,8 +431,10 @@ int run_serve(const Options& options) {
   heartbeat.stop();
 
   if (!interrupted) {
-    // Let workers hear "done" on their next lease poll before the listener
-    // goes away; spawned children are reaped so their exit is observable.
+    // Workers blocked in a lease long-poll hear "done" the moment the last
+    // seal lands; spawned children are reaped so their exit is observable.
+    // External workers get a grace period to ask once more before the
+    // listener goes away.
     bool any_child = false;
     for (const pid_t pid : children) {
       if (pid <= 0) continue;
@@ -442,10 +445,14 @@ int run_serve(const Options& options) {
     if (!any_child && options.spawn == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(500));
     }
+    server.request_stop();
   } else {
+    // Stop the children first, then the server: its handlers wake at once,
+    // so a child blocked in a long-poll sees its connection end and exits.
     for (const pid_t pid : children) {
       if (pid > 0) (void)::kill(pid, SIGTERM);
     }
+    server.request_stop();
     for (const pid_t pid : children) {
       if (pid <= 0) continue;
       int wstatus = 0;
@@ -453,7 +460,6 @@ int run_serve(const Options& options) {
     }
   }
 
-  server.request_stop();
   accept_thread.join();
   ::close(listen_fd);
 
@@ -552,10 +558,10 @@ int run_worker_command(const Options& options) {
       [&endpoint] { return serve::connect_endpoint(endpoint); },
       registry.all(), worker_options);
   std::fprintf(stderr,
-               "[worker %s] %s: %zu unit(s), %zu trial(s), %zu duplicate "
-               "commit(s), %zu reconnect(s)\n",
+               "[worker %s] %s: %zu unit(s), %zu trial(s), %zu resend(s), "
+               "%zu reconnect(s)\n",
                stats.worker_id.c_str(), stats.stopped ? "stopped" : "done",
-               stats.units, stats.trials, stats.duplicates, stats.reconnects);
+               stats.units, stats.trials, stats.resends, stats.reconnects);
   if (injector.has_value()) {
     std::fprintf(stderr, "[worker %s] faults injected: %s\n",
                  stats.worker_id.c_str(),
@@ -600,7 +606,7 @@ int run_status(const Options& options) {
     return 1;
   }
   const auto show = [&](const char* key) {
-    std::printf("%-14s %s\n", key,
+    std::printf("%-22s %s\n", key,
                 std::string(jsonl::field(*reply, key)).c_str());
   };
   show("loaded");
@@ -618,6 +624,10 @@ int run_status(const Options& options) {
   show("lease_expiries");
   show("speculative_dispatches");
   show("journal_errors");
+  show("journal_syncs");
+  show("journal_sync_ms");
+  show("seals");
+  show("row_resends");
   show("lease_ms_effective");
   return 0;
 }

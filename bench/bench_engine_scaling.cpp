@@ -1,47 +1,42 @@
 // Engine-scaling bench: the sparse CSR round engine vs the dense reference
-// engine, and the serial round loop vs the sharded parallel kernel, on the
-// scale/* workloads (Decay broadcast, sparse layered and gray-zone families,
-// n in {1k, 10k, 100k, 1m}, benign / bernoulli / greedy-blocker channels —
-// the greedy points exercise the sparse batch adversary API at scale).
+// engine on the scale/* workloads (Decay broadcast, sparse layered and
+// gray-zone families, n in {1k, 10k, 100k, 1m}, benign / bernoulli /
+// greedy-blocker channels — the greedy points exercise the sparse batch
+// adversary API at scale).
 //
 // For every scale scenario this runs one campaign-seeded trial (master seed
 // 1, trial 0 — the exact execution dualrad_campaign would run):
 //   * under the production engine ("csr");
 //   * under the reference engine where n makes that tolerable (n <= 10^4;
-//     the reference's O(n)-per-round scans are the point of the comparison);
-//   * at n >= 10^5, additionally under the sharded parallel kernel
-//     ("csr-mt4", SimConfig::threads = 4) — bit-identical results, measured
-//     separately. The 10^6 points run under TraceLevel::Bounded, proving the
-//     memory-capped trace mode on the workloads it exists for.
-// Emits BENCH_engine.json: per (scenario, engine) the completion round, wall
-// time (min over --repeat runs), rounds/sec, and the *per-measurement* peak
-// RSS (the kernel high-water mark is reset before each measurement via
-// obs::reset_peak, so a row's peak is its own, not inherited from earlier
-// rows; where /proc/self/clear_refs is unavailable the column degrades to
-// the monotone process-wide peak and the JSON flags it with
-// "rss_per_scenario": false), plus speedup maps for engine-vs-reference and
-// parallel-vs-serial.
+//     the reference's O(n)-per-round scans are the point of the comparison).
+// The 10^6 points run under TraceLevel::Bounded, proving the memory-capped
+// trace mode on the workloads it exists for.
+// Emits BENCH_engine.json: the machine (nproc, CPU model, compiler, build
+// flags) and repeat count, then per (scenario, engine) the completion round,
+// the median and min-max wall time over --repeat runs, rounds/sec at the
+// median, and the *per-measurement* peak RSS (the kernel high-water mark is
+// reset before each measurement via obs::reset_peak, so a row's peak is its
+// own, not inherited from earlier rows; where /proc/self/clear_refs is
+// unavailable the column degrades to the monotone process-wide peak and the
+// JSON flags it with "rss_per_scenario": false), plus the engine-vs-reference
+// speedup map.
 //
 // Usage: bench_engine_scaling [--quick] [--repeat=N] [--filter=SUBSTR]
-//                             [--max-rss-mb=N] [--min-parallel-speedup=X]
-//                             [--telemetry] [--out=PATH]
+//                             [--max-rss-mb=N] [--telemetry] [--out=PATH]
 //   --quick       skip the "slow"-tagged points (n >= 10^5; CI-friendly)
-//   --repeat=N    run each measurement N times and report the minimum wall
-//                 time (de-noises the committed baseline; simulation output
-//                 is identical across repeats). Slow-tagged points always
-//                 run once.
+//   --repeat=N    run each measurement N times; rows report the median and
+//                 the min-max spread (simulation output is identical across
+//                 repeats)
 //   --filter=S    restrict to scenarios whose name contains S
 //   --max-rss-mb=N  exit nonzero if peak RSS ever exceeds N MiB (the CI
 //                 memory-regression gate for the 10^6 smoke)
-//   --min-parallel-speedup=X  exit nonzero if the best csr-mt4 vs csr
-//                 rounds/sec ratio falls below X (only meaningful on
-//                 multi-core hosts; the CI runners gate on it)
 //   --telemetry   attach the obs::RoundTelemetry layer to every timed run
 //                 and print the per-phase wall-time breakdown per row.
 //                 Off by default: committed baselines measure the
 //                 telemetry-disabled (branch-on-null) hot path
 //   --out         output path for the JSON report (default BENCH_engine.json)
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -49,6 +44,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -60,30 +56,59 @@
 #include "obs/rss.hpp"
 #include "obs/telemetry.hpp"
 
+#ifndef DUALRAD_BUILD_FLAGS
+#define DUALRAD_BUILD_FLAGS "unknown"
+#endif
+
 namespace dualrad {
 namespace {
 
-enum class EngineKind { Csr, CsrParallel, Reference };
-
-constexpr unsigned kParallelThreads = 4;
+enum class EngineKind { Csr, Reference };
 
 struct Measurement {
   std::string scenario;
   std::string engine;
   NodeId n = 0;
-  unsigned threads = 1;
   bool completed = false;
   Round rounds = 0;
   std::uint64_t sends = 0;
-  double wall_ms = 0.0;
-  double rounds_per_sec = 0.0;
+  std::size_t repeat = 0;
+  double wall_ms = 0.0;      // median over the repeats
+  double wall_ms_min = 0.0;
+  double wall_ms_max = 0.0;
+  double rounds_per_sec = 0.0;  // at the median wall time
   double peak_rss_mb = 0.0;
   std::array<std::uint64_t, obs::kPhaseCount> phase_ns{};  // --telemetry only
 };
 
+#if defined(__clang__)
+constexpr const char* kCompiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+constexpr const char* kCompiler = "g++ " __VERSION__;
+#else
+constexpr const char* kCompiler = "unknown";
+#endif
+
 // False once any obs::reset_peak() fails: the peak_rss_mb column is then the
 // monotone process-wide high-water mark, and the JSON says so.
 bool g_rss_per_scenario = true;
+
+/// "model name" of the first CPU in /proc/cpuinfo ("unknown" elsewhere).
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model = line.substr(colon + 1);
+    model.erase(0, model.find_first_not_of(' '));
+    // The value is embedded in JSON unescaped.
+    std::erase_if(model, [](char c) { return c == '"' || c == '\\'; });
+    return model;
+  }
+  return "unknown";
+}
 
 Measurement run_one(const campaign::Scenario& spec, const DualGraph& net,
                     const ProcessFactory& factory, EngineKind kind,
@@ -95,7 +120,6 @@ Measurement run_one(const campaign::Scenario& spec, const DualGraph& net,
   config.max_rounds = spec.max_rounds;
   config.seed = campaign::trial_seed(1, spec.name, 0);
   config.token_sources = spec.token_sources;
-  if (kind == EngineKind::CsrParallel) config.threads = kParallelThreads;
   if (bounded_trace) config.trace = TraceLevel::Bounded;
   config.telemetry = telemetry;
 
@@ -104,7 +128,7 @@ Measurement run_one(const campaign::Scenario& spec, const DualGraph& net,
   // resident — the true working set it runs against).
   g_rss_per_scenario = obs::reset_peak() && g_rss_per_scenario;
 
-  double best_seconds = 0.0;
+  std::vector<double> walls;
   SimResult result;
   for (std::size_t rep = 0; rep < std::max<std::size_t>(repeat, 1); ++rep) {
     // Fresh adversary per run: stateful adversaries replay the same stream.
@@ -113,31 +137,29 @@ Measurement run_one(const campaign::Scenario& spec, const DualGraph& net,
     result = kind == EngineKind::Reference
                  ? run_broadcast_reference(net, factory, *adversary, config)
                  : run_broadcast(net, factory, *adversary, config);
-    const double seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - started)
-                               .count();
-    if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
+    walls.push_back(std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - started)
+                        .count());
   }
+  std::sort(walls.begin(), walls.end());
+  const std::size_t mid = walls.size() / 2;
+  const double median = walls.size() % 2 == 1
+                            ? walls[mid]
+                            : (walls[mid - 1] + walls[mid]) / 2;
 
   Measurement m;
   m.scenario = spec.name;
-  switch (kind) {
-    case EngineKind::Csr: m.engine = "csr"; break;
-    case EngineKind::CsrParallel:
-      m.engine = "csr-mt" + std::to_string(kParallelThreads);
-      m.threads = kParallelThreads;
-      break;
-    case EngineKind::Reference: m.engine = "reference"; break;
-  }
+  m.engine = kind == EngineKind::Reference ? "reference" : "csr";
   m.n = net.node_count();
   m.completed = result.completed;
   m.rounds = result.rounds_executed;
   m.sends = result.total_sends;
-  m.wall_ms = best_seconds * 1e3;
+  m.repeat = walls.size();
+  m.wall_ms = median * 1e3;
+  m.wall_ms_min = walls.front() * 1e3;
+  m.wall_ms_max = walls.back() * 1e3;
   m.rounds_per_sec =
-      best_seconds > 0
-          ? static_cast<double>(result.rounds_executed) / best_seconds
-          : 0;
+      median > 0 ? static_cast<double>(result.rounds_executed) / median : 0;
   m.peak_rss_mb = obs::peak_rss_mb();
   if (telemetry != nullptr) {
     for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
@@ -148,27 +170,33 @@ Measurement run_one(const campaign::Scenario& spec, const DualGraph& net,
 }
 
 // Scenario names are [A-Za-z0-9._/+:=-], so they embed in JSON unescaped.
-void write_json(const std::string& path,
+void write_json(const std::string& path, std::size_t repeat,
                 const std::vector<Measurement>& measurements,
-                const std::map<std::string, double>& speedups,
-                const std::map<std::string, double>& parallel_speedups) {
+                const std::map<std::string, double>& speedups) {
   std::ofstream out(path);
-  out << "{\n  \"bench\": \"engine_scaling\",\n  \"rss_per_scenario\": "
-      << (g_rss_per_scenario ? "true" : "false") << ",\n  \"measurements\": [\n";
+  out << "{\n  \"bench\": \"engine_scaling\",\n  \"machine\": {\"nproc\": "
+      << std::thread::hardware_concurrency() << ", \"cpu\": \"" << cpu_model()
+      << "\", \"compiler\": \"" << kCompiler << "\", \"build_flags\": \""
+      << DUALRAD_BUILD_FLAGS << "\"},\n  \"repeat\": " << repeat
+      << ",\n  \"rss_per_scenario\": "
+      << (g_rss_per_scenario ? "true" : "false")
+      << ",\n  \"measurements\": [\n";
   for (std::size_t i = 0; i < measurements.size(); ++i) {
     const Measurement& m = measurements[i];
-    char buf[512];
+    char buf[768];
     std::snprintf(buf, sizeof buf,
-                  "    {\"scenario\": \"%s\", \"engine\": \"%s\", \"n\": %d, "
-                  "\"threads\": %u, \"completed\": %s, \"rounds\": %lld, "
-                  "\"sends\": %llu, \"wall_ms\": %.3f, "
-                  "\"rounds_per_sec\": %.1f, \"peak_rss_mb\": %.1f}%s\n",
-                  m.scenario.c_str(), m.engine.c_str(), m.n, m.threads,
+                  "    {\"scenario\": \"%s\", \"engine\": \"%s\", "
+                  "\"n\": %d, \"completed\": %s, "
+                  "\"rounds\": %lld, \"sends\": %llu, \"repeat\": %zu, "
+                  "\"wall_ms\": %.3f, \"wall_ms_min\": %.3f, "
+                  "\"wall_ms_max\": %.3f, \"rounds_per_sec\": %.1f, "
+                  "\"peak_rss_mb\": %.1f}%s\n",
+                  m.scenario.c_str(), m.engine.c_str(), m.n,
                   m.completed ? "true" : "false",
                   static_cast<long long>(m.rounds),
-                  static_cast<unsigned long long>(m.sends), m.wall_ms,
-                  m.rounds_per_sec, m.peak_rss_mb,
-                  i + 1 < measurements.size() ? "," : "");
+                  static_cast<unsigned long long>(m.sends), m.repeat,
+                  m.wall_ms, m.wall_ms_min, m.wall_ms_max, m.rounds_per_sec,
+                  m.peak_rss_mb, i + 1 < measurements.size() ? "," : "");
     out << buf;
   }
   out << "  ],\n  \"speedup_rounds_per_sec\": {\n";
@@ -177,15 +205,6 @@ void write_json(const std::string& path,
     char buf[256];
     std::snprintf(buf, sizeof buf, "    \"%s\": %.2f%s\n", name.c_str(),
                   speedup, i + 1 < speedups.size() ? "," : "");
-    out << buf;
-    ++i;
-  }
-  out << "  },\n  \"parallel_speedup_rounds_per_sec\": {\n";
-  i = 0;
-  for (const auto& [name, speedup] : parallel_speedups) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf, "    \"%s\": %.2f%s\n", name.c_str(),
-                  speedup, i + 1 < parallel_speedups.size() ? "," : "");
     out << buf;
     ++i;
   }
@@ -201,8 +220,7 @@ int main(int argc, char** argv) {
   bool quick = false;
   bool with_telemetry = false;
   std::size_t repeat = 1;
-  double max_rss_mb = 0.0;            // 0 = no ceiling
-  double min_parallel_speedup = 0.0;  // 0 = no floor
+  double max_rss_mb = 0.0;  // 0 = no ceiling
   std::string filter;
   std::string out_path = "BENCH_engine.json";
   for (int i = 1; i < argc; ++i) {
@@ -212,25 +230,23 @@ int main(int argc, char** argv) {
     } else if (arg == "--telemetry") {
       with_telemetry = true;
     } else if (arg.rfind("--repeat=", 0) == 0) {
-      repeat = std::stoul(arg.substr(9));
+      repeat = std::max<std::size_t>(std::stoul(arg.substr(9)), 1);
     } else if (arg.rfind("--filter=", 0) == 0) {
       filter = arg.substr(9);
     } else if (arg.rfind("--max-rss-mb=", 0) == 0) {
       max_rss_mb = std::stod(arg.substr(13));
-    } else if (arg.rfind("--min-parallel-speedup=", 0) == 0) {
-      min_parallel_speedup = std::stod(arg.substr(23));
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else {
       std::cerr << "usage: bench_engine_scaling [--quick] [--repeat=N] "
-                   "[--filter=SUBSTR] [--max-rss-mb=N] "
-                   "[--min-parallel-speedup=X] [--telemetry] [--out=PATH]\n";
+                   "[--filter=SUBSTR] [--max-rss-mb=N] [--telemetry] "
+                   "[--out=PATH]\n";
       return 2;
     }
   }
 
   benchutil::print_header(
-      "ENGINE", "sparse CSR engine vs dense reference; serial vs sharded",
+      "ENGINE", "sparse CSR engine vs dense reference",
       "rounds/sec gap grows with n; >= 5x on the 10k benign points");
 
   const campaign::ScenarioRegistry registry = campaign::builtin_registry();
@@ -251,14 +267,15 @@ int main(int argc, char** argv) {
 
   std::vector<Measurement> measurements;
   std::map<std::string, double> speedups;
-  std::map<std::string, double> parallel_speedups;
   bool gates_ok = true;
-  stats::Table table({"scenario", "n", "engine", "rounds", "wall ms",
-                      "rounds/s", "peak RSS MB"});
+  stats::Table table({"scenario", "n", "engine", "rounds", "wall ms (median)",
+                      "min-max", "rounds/s", "peak RSS MB"});
   const auto record = [&](const Measurement& m) {
     measurements.push_back(m);
     table.add_row({m.scenario, std::to_string(m.n), m.engine,
                    std::to_string(m.rounds), stats::Table::num(m.wall_ms, 1),
+                   stats::Table::num(m.wall_ms_min, 1) + "-" +
+                       stats::Table::num(m.wall_ms_max, 1),
                    stats::Table::num(m.rounds_per_sec, 0),
                    stats::Table::num(m.peak_rss_mb, 1)});
     if (max_rss_mb > 0 && m.peak_rss_mb > max_rss_mb) {
@@ -287,45 +304,21 @@ int main(int argc, char** argv) {
     }
     const int rank = size_rank(spec);
     // The 10^6 points run under the memory-capped Bounded trace — the mode
-    // exists exactly for them — and always once (their wall times are far
-    // above the noise floor --repeat exists for).
+    // exists exactly for them.
     const bool bounded = rank >= 3;
-    const std::size_t reps = slow ? 1 : repeat;
 
     const DualGraph net = spec.network();
     const ProcessFactory factory = spec.algorithm(net);
 
     const Measurement fast =
-        run_one(spec, net, factory, EngineKind::Csr, reps, bounded, tel);
+        run_one(spec, net, factory, EngineKind::Csr, repeat, bounded, tel);
     record(fast);
-
-    // Serial vs sharded-parallel on the 100k+ points (heavy rounds; the
-    // small grid's rounds sit below the kernel's work cutoff anyway). The
-    // kernel's results must be identical at these scales too — sizes the
-    // unit-test grid cannot reach — so a mismatch fails the run.
-    if (rank >= 2) {
-      const Measurement par = run_one(spec, net, factory,
-                                      EngineKind::CsrParallel, reps, bounded,
-                                      tel);
-      record(par);
-      if (par.completed != fast.completed || par.rounds != fast.rounds ||
-          par.sends != fast.sends) {
-        std::cerr << "error: " << spec.name
-                  << ": parallel kernel diverged from serial (rounds "
-                  << par.rounds << " vs " << fast.rounds << ", sends "
-                  << par.sends << " vs " << fast.sends << ")\n";
-        gates_ok = false;  // fail the run like a gate violation
-      }
-      if (fast.rounds_per_sec > 0) {
-        parallel_speedups[spec.name] = par.rounds_per_sec / fast.rounds_per_sec;
-      }
-    }
 
     // The dense engine's O(n) rounds make 100k+ points minutes-slow; the
     // comparison points are the 1k and 10k grid.
     if (rank <= 1) {
       const Measurement ref = run_one(spec, net, factory,
-                                      EngineKind::Reference, reps, bounded,
+                                      EngineKind::Reference, repeat, bounded,
                                       tel);
       record(ref);
       if (ref.rounds_per_sec > 0) {
@@ -368,27 +361,8 @@ int main(int argc, char** argv) {
   for (const auto& [name, speedup] : speedups) {
     std::printf("  %-45s %.2fx\n", name.c_str(), speedup);
   }
-  std::cout << "\nparallel speedup (csr-mt" << kParallelThreads
-            << " rounds/sec over csr serial):\n";
-  double best_parallel = 0.0;
-  for (const auto& [name, speedup] : parallel_speedups) {
-    std::printf("  %-45s %.2fx\n", name.c_str(), speedup);
-    best_parallel = std::max(best_parallel, speedup);
-  }
-  if (min_parallel_speedup > 0.0) {
-    if (parallel_speedups.empty()) {
-      std::cerr << "error: --min-parallel-speedup set but no 100k+ point "
-                   "produced a parallel measurement\n";
-      gates_ok = false;
-    } else if (best_parallel < min_parallel_speedup) {
-      std::cerr << "error: best parallel speedup " << best_parallel
-                << "x is below the required " << min_parallel_speedup
-                << "x floor\n";
-      gates_ok = false;
-    }
-  }
 
-  write_json(out_path, measurements, speedups, parallel_speedups);
+  write_json(out_path, repeat, measurements, speedups);
   std::cout << "\nwrote " << out_path << "\n";
   return gates_ok ? 0 : 1;
 }

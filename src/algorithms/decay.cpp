@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "algorithms/broadcast_algorithm.hpp"
 #include "core/rng.hpp"
@@ -39,11 +40,13 @@ class DecayProcess final : public TokenProcess {
   DecayProcess(const DecayProcess&) = default;
 
   [[nodiscard]] Action next_action(Round round) const override {
+    // The memo is a send round the scan already proved (live, coin up), so
+    // the engine's usual poll — at exactly that round — needs no coin.
+    if (memo_next_ == round) return transmit(round);
     if (!on_air(round)) return Action::silent();
     const auto offset = static_cast<int>((round - 1) % phase_);
     if (!rng_.bernoulli(pow2_neg(offset), round)) return Action::silent();
-    return Action::transmit(Message{/*token=*/true, /*origin=*/id(),
-                                    /*round_tag=*/round, /*payload=*/0});
+    return transmit(round);
   }
 
   void on_receive(Round round, const Reception& reception) override {
@@ -79,6 +82,11 @@ class DecayProcess final : public TokenProcess {
  private:
   static constexpr Round kUnplanned = -2;
 
+  [[nodiscard]] Action transmit(Round round) const {
+    return Action::transmit(Message{/*token=*/true, /*origin=*/id(),
+                                    /*round_tag=*/round, /*payload=*/0});
+  }
+
   /// Phase index since token receipt: 0 during the first phase-length
   /// stretch after the token arrived. Duty windows are counted relative to
   /// the token round, so nodes beacon staggered, while transmission
@@ -110,12 +118,28 @@ class DecayProcess final : public TokenProcess {
     return token_round() + next_index * phase_ + 1;
   }
 
+  /// Last round of the live stretch that contains the live round `r`: the
+  /// initial window's end, the end of r's beacon phase, or never (the
+  /// unbounded mode is one endless stretch).
+  [[nodiscard]] Round live_end(Round r) const {
+    if (active_phases_ <= 0) return std::numeric_limits<Round>::max();
+    const Round index = phase_index(r);
+    return token_round() +
+           (index < active_phases_ ? active_phases_ : index + 1) * phase_;
+  }
+
   /// Every live stretch spans a full phase and therefore contains an
-  /// offset-0 round (p = 1), so the scan terminates quickly.
+  /// offset-0 round (p = 1), so the scan terminates quickly. Within a
+  /// stretch the phase offset steps by one per round, so only the stretch
+  /// boundaries pay for a division.
   [[nodiscard]] Round scan_for_send(Round from) const {
-    for (Round r = next_on_air(from); r != kNever; r = next_on_air(r + 1)) {
-      const auto offset = static_cast<int>((r - 1) % phase_);
-      if (rng_.bernoulli(pow2_neg(offset), r)) return r;
+    for (Round r = next_on_air(from); r != kNever; r = next_on_air(r)) {
+      const Round end = live_end(r);
+      auto offset = static_cast<int>((r - 1) % phase_);
+      for (; r <= end; ++r) {
+        if (rng_.bernoulli(pow2_neg(offset), r)) return r;
+        if (++offset == phase_) offset = 0;
+      }
     }
     return kNever;
   }

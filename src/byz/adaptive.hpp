@@ -16,7 +16,7 @@
 /// Every corruption goes through ByzantinePlan::try_corrupt, so the grown
 /// placement stays f-locally bounded by construction. on_execution_start
 /// rolls the plan back to its frozen baseline, which is what lets one plan
-/// object be shared across the serial / sharded / reference-engine replays of
+/// object be shared across the sparse- and reference-engine replays of
 /// the equivalence suite: the engines call on_execution_start before they
 /// construct their Byzantine runtime, so every replay sees the same baseline
 /// and — because the coverage deltas are bit-identical — re-grows the same

@@ -74,7 +74,7 @@ using campaign::Scenario;
 /// engine, optionally letting an adaptive adversary grow the placement from
 /// the coverage frontier. Pure in its arguments (the placement depends only
 /// on config.seed), so campaign runs stay bit-identical across workers,
-/// engines, and threads-per-trial.
+/// engines, and campaign worker counts.
 [[nodiscard]] campaign::TrialRunner byz_runner(int f, std::size_t count,
                                                ByzBehavior behavior,
                                                std::size_t adaptive_budget) {

@@ -32,8 +32,8 @@
 /// bound — which is the primitive adaptive adversaries (byz/adaptive.hpp)
 /// drive from the `on_round_end` coverage-delta hook. `freeze` snapshots the
 /// current placement as the baseline that `reset_adaptive` restores, so one
-/// plan object can be shared by repeated executions (serial / sharded /
-/// reference engine replays) with adaptive corruptions rolled back between
+/// plan object can be shared by repeated executions (sparse and reference
+/// engine replays) with adaptive corruptions rolled back between
 /// runs.
 ///
 /// Forged token ids live in a reserved band starting at kForgedTokenBase so

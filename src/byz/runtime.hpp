@@ -25,9 +25,9 @@
 ///  2. `may_transmit` — the poll-time send check for forged token ids: legal
 ///     only for the token's forger or a node the token was delivered to
 ///     (relaying what you heard is protocol-legal; inventing an id is not).
-///  3. `note_delivery` — called from the (possibly sharded) delivery phase
-///     when a forged-token message is delivered at a node. Writes only
-///     per-node state, so concurrent shard workers never race.
+///  3. `note_delivery` — called from the delivery phase when a
+///     forged-token message is delivered at a node. Writes only per-node
+///     state.
 ///
 /// `finalize` folds the provenance into SimResult::forged_tokens — the
 /// "did a forged token win" audit dimension.

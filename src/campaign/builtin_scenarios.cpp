@@ -297,8 +297,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
   // Decay under asynchronous start keeps the awake set equal to the covered
   // set, which is exactly the regime the sparse CSR engine is built for;
   // bench_engine_scaling measures these same scenarios against the dense
-  // reference engine (and, at 100k+, the serial kernel against the sharded
-  // parallel one). The 100k instances are tagged "slow" and the 10^6
+  // reference engine. The 100k instances are tagged "slow" and the 10^6
   // instances additionally "1m" so quick filters skip them; one trial each
   // keeps a full-catalogue run tractable.
   struct ScalePoint {

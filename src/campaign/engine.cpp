@@ -78,7 +78,6 @@ TrialExecutor::Outcome TrialExecutor::run(std::uint32_t trial,
   sim.max_rounds = spec_.max_rounds;
   sim.seed = seed;
   sim.token_sources = spec_.token_sources;
-  sim.threads = options.threads_per_trial;
   sim.trace = options.trace;
   // One telemetry registry per trial, attached out-of-band. Window 1: only
   // whole-execution totals are kept, so the per-round ring can be minimal.
@@ -115,7 +114,6 @@ TrialExecutor::Outcome TrialExecutor::run(std::uint32_t trial,
     t.adversary_ns = telemetry.total_phase_ns(obs::Phase::Adversary);
     t.propagate_ns = telemetry.total_phase_ns(obs::Phase::Propagate);
     t.deliver_ns = telemetry.total_phase_ns(obs::Phase::Deliver);
-    t.merge_ns = telemetry.total_phase_ns(obs::Phase::ShardMerge);
     const obs::RoundCounters& c = telemetry.totals();
     t.polled = c.polled;
     t.senders = c.senders;
@@ -248,7 +246,6 @@ CampaignResult run_campaign(const std::vector<Scenario>& scenarios,
   std::mutex observer_mutex;
 
   TrialOptions options;
-  options.threads_per_trial = config.threads_per_trial;
   options.measure_wall_time = config.measure_wall_time;
   options.collect_telemetry = config.collect_telemetry;
   options.trace = config.trial_trace;

@@ -63,7 +63,6 @@ struct TelemetryRow {
   std::uint64_t adversary_ns = 0;
   std::uint64_t propagate_ns = 0;
   std::uint64_t deliver_ns = 0;
-  std::uint64_t merge_ns = 0;
   // Counter totals (deterministic: equal for any thread count).
   std::uint64_t polled = 0;
   std::uint64_t senders = 0;
@@ -111,12 +110,6 @@ struct CampaignConfig {
   /// Worker threads; 0 means hardware_concurrency (at least 1). The result
   /// does not depend on this.
   unsigned threads = 0;
-  /// SimConfig::threads of every trial: the sharded parallel round kernel
-  /// *within* one execution. Orthogonal to `threads` (trials x intra-trial
-  /// shards run concurrently); the result does not depend on it either —
-  /// the kernel's shard merge is deterministic, and tests/test_campaign.cpp
-  /// pins byte-identical exports across values.
-  unsigned threads_per_trial = 1;
   /// When nonzero, overrides every scenario's trial count.
   std::size_t trials_override = 0;
   /// Record per-trial wall time into TrialRow::wall_us (and summary
@@ -170,7 +163,6 @@ struct CampaignConfig {
 /// Per-trial execution options of TrialExecutor (the serve-mode work-unit
 /// runner). Mirrors the corresponding CampaignConfig fields.
 struct TrialOptions {
-  unsigned threads_per_trial = 1;
   bool measure_wall_time = false;
   bool collect_telemetry = false;
   /// SimConfig::trace of the trial (see CampaignConfig::trial_trace).

@@ -223,7 +223,6 @@ std::string telemetry_to_jsonl(const std::vector<TelemetryRow>& rows) {
     out += ",\"adversary_ns\":" + std::to_string(r.adversary_ns);
     out += ",\"propagate_ns\":" + std::to_string(r.propagate_ns);
     out += ",\"deliver_ns\":" + std::to_string(r.deliver_ns);
-    out += ",\"merge_ns\":" + std::to_string(r.merge_ns);
     out += ",\"polled\":" + std::to_string(r.polled);
     out += ",\"senders\":" + std::to_string(r.senders);
     out += ",\"deliveries\":" + std::to_string(r.deliveries);
@@ -265,7 +264,6 @@ std::vector<TelemetryRow> telemetry_from_jsonl(const std::string& text) {
     r.adversary_ns = opt_u64("adversary_ns");
     r.propagate_ns = opt_u64("propagate_ns");
     r.deliver_ns = opt_u64("deliver_ns");
-    r.merge_ns = opt_u64("merge_ns");
     r.polled = opt_u64("polled");
     r.senders = opt_u64("senders");
     r.deliveries = opt_u64("deliveries");

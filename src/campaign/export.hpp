@@ -53,7 +53,7 @@ namespace dualrad::campaign {
 
 /// Per-trial telemetry JSONL (CampaignResult::telemetry). Keys per line:
 /// scenario, trial, wall_us, poll_ns, adversary_ns, propagate_ns,
-/// deliver_ns, merge_ns, polled, senders, deliveries, collisions,
+/// deliver_ns, polled, senders, deliveries, collisions,
 /// calendar_scanned, replans, reach_appends, newly_covered,
 /// max_round_deliveries. This stream is opt-in and — unlike the default
 /// trial exports — inherently nondeterministic (it carries wall times); the

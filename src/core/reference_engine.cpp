@@ -128,10 +128,10 @@ SimResult run_broadcast_reference(const DualGraph& net,
 
   // Telemetry mirrors the sparse engine's (core/simulator.cpp): strictly
   // out-of-band reads + clock samples, all behind one null check. The
-  // reference engine has no calendar and no shards, so calendar_scanned and
-  // replans stay 0 and ShardMerge is never timed.
+  // reference engine has no calendar, so calendar_scanned and replans
+  // stay 0.
   obs::RoundTelemetry* const telemetry = config.telemetry;
-  if (telemetry) telemetry->begin_execution(n, 1);
+  if (telemetry) telemetry->begin_execution(n);
 
   for (Round round = 1; round <= config.max_rounds; ++round) {
     result.rounds_executed = round;

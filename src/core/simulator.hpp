@@ -52,12 +52,6 @@ struct SimConfig {
   TraceLevel trace = TraceLevel::None;
   /// Ring capacity (rounds) of the TraceLevel::Bounded trace.
   std::size_t trace_window = 1024;
-  /// Worker threads of the sharded parallel round kernel; 0 or 1 runs the
-  /// round loop inline. The SimResult is bit-identical for every value: the
-  /// kernel partitions nodes into contiguous shards, all cross-shard state
-  /// is merged in deterministic shard order, and every observable (process
-  /// call sets, adversary call order, RNG streams) is per-node independent.
-  unsigned threads = 1;
   /// Stop as soon as every process holds every token. When false the
   /// execution runs to max_rounds (useful for termination experiments).
   bool stop_on_completion = true;
@@ -67,7 +61,7 @@ struct SimConfig {
   /// problem: kBroadcastToken originates at net.source().
   std::vector<NodeId> token_sources{};
   /// Optional telemetry sink (obs/telemetry.hpp): per-round hot-path
-  /// counters, monotonic phase timers, and per-shard sub-counters. Strictly
+  /// counters and monotonic phase timers. Strictly
   /// out-of-band — the SimResult is bit-identical whether or not telemetry
   /// is attached — and compiled to branch-on-null no-ops when nullptr, so
   /// the disabled overhead is a handful of predicted branches per round.

@@ -91,7 +91,7 @@ std::string to_perfetto_json(const RoundTelemetry& telemetry,
            cursor_us, kPid, s.counters.newly_covered, s.counters.replans);
     for (std::size_t p = 0; p < kPhaseCount; ++p) {
       const std::uint64_t ns = s.phase_ns[p];
-      if (ns == 0) continue;  // ShardMerge is 0 on serial runs; skip noise
+      if (ns == 0) continue;  // a phase that did no timed work; skip noise
       const std::uint64_t dur = to_us(ns);
       comma();
       append(out,
@@ -101,21 +101,6 @@ std::string to_perfetto_json(const RoundTelemetry& telemetry,
              phase_name(static_cast<Phase>(p)), cursor_us, dur, kPid,
              kPhaseTid, static_cast<long long>(s.round));
       cursor_us += dur;
-    }
-  }
-
-  // Per-shard deposit totals as one final counter sample per shard track —
-  // the imbalance readout for sharded executions.
-  if (telemetry.shards() > 1) {
-    const auto& shards = telemetry.shard_totals();
-    for (std::size_t w = 0; w < shards.size(); ++w) {
-      comma();
-      append(out,
-             "{\"name\":\"shard%zu touched\",\"ph\":\"C\",\"ts\":%" PRIu64
-             ",\"pid\":%d,\"args\":{\"touched\":%" PRIu64
-             ",\"collided\":%" PRIu64 ",\"rounds\":%" PRIu64 "}}",
-             w, cursor_us, kPid, shards[w].touched, shards[w].collided,
-             shards[w].rounds);
     }
   }
 

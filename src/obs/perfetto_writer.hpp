@@ -13,8 +13,7 @@
 /// phase durations (the telemetry records durations, not absolute times, so
 /// the trace shows each round's relative phase costs back to back), plus one
 /// counter ("ph":"C") track per hot-path counter sampled at each round's
-/// start, and a per-shard deposits counter track when the execution ran
-/// sharded. Rounds older than the telemetry window are folded into a single
+/// start. Rounds older than the telemetry window are folded into a single
 /// leading "earlier-rounds" slice sized by the out-of-window share of the
 /// total phase time, so the timeline still spans the whole execution.
 

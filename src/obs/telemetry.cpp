@@ -10,7 +10,6 @@ const char* phase_name(Phase phase) {
     case Phase::Adversary: return "adversary";
     case Phase::Propagate: return "propagate";
     case Phase::Deliver: return "deliver";
-    case Phase::ShardMerge: return "shard-merge";
   }
   return "phase?";
 }
@@ -20,15 +19,13 @@ RoundTelemetry::RoundTelemetry(std::size_t window) : window_(window) {
   ring_.resize(window_);
 }
 
-void RoundTelemetry::begin_execution(NodeId nodes, unsigned shards) {
+void RoundTelemetry::begin_execution(NodeId nodes) {
   nodes_ = nodes;
-  shards_ = std::max(1u, shards);
   rounds_recorded_ = 0;
   current_ = RoundSample{};
   for (RoundSample& s : ring_) s = RoundSample{};
   totals_ = RoundCounters{};
   total_phase_ns_.fill(0);
-  shard_totals_.assign(shards_, ShardTotals{});
   max_round_deliveries_ = 0;
   max_round_deliveries_round_ = 0;
 }
@@ -38,17 +35,6 @@ void RoundTelemetry::end_execution() {}
 void RoundTelemetry::begin_round(Round round) {
   current_ = RoundSample{};
   current_.round = round;
-}
-
-void RoundTelemetry::add_shard_round(unsigned shard, std::uint64_t touched,
-                                     std::uint64_t collided,
-                                     std::uint64_t replans) {
-  if (shard >= shard_totals_.size()) shard_totals_.resize(shard + 1);
-  ShardTotals& t = shard_totals_[shard];
-  t.touched += touched;
-  t.collided += collided;
-  t.replans += replans;
-  ++t.rounds;
 }
 
 void RoundTelemetry::end_round() {

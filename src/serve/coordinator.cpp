@@ -273,7 +273,6 @@ std::optional<JobSpec> Coordinator::try_lease_locked(const std::string& worker) 
     job.trial_begin = unit.trial_begin;
     job.trial_end = unit.trial_end;
     job.master_seed = config_.master_seed;
-    job.threads_per_trial = config_.threads_per_trial;
     job.collect_telemetry = config_.collect_telemetry;
     return job;
   };

@@ -68,7 +68,6 @@ struct JobSpec {
   std::uint32_t trial_begin = 0;
   std::uint32_t trial_end = 0;  ///< exclusive
   std::uint64_t master_seed = 1;
-  unsigned threads_per_trial = 1;
   bool collect_telemetry = false;
 };
 
@@ -104,7 +103,6 @@ class Coordinator {
     /// Load the journal before dispatching and skip committed trials.
     bool resume = false;
     /// Propagated to workers in every JobSpec.
-    unsigned threads_per_trial = 1;
     bool collect_telemetry = false;
   };
 

@@ -94,8 +94,6 @@ std::string Server::handle_message(const std::string& payload,
       reply += ",\"trial_begin\":" + std::to_string(job->trial_begin);
       reply += ",\"trial_end\":" + std::to_string(job->trial_end);
       reply += ",\"master_seed\":" + std::to_string(job->master_seed);
-      reply +=
-          ",\"threads_per_trial\":" + std::to_string(job->threads_per_trial);
       reply += ",\"collect_telemetry\":";
       reply += job->collect_telemetry ? "true" : "false";
       reply += "}";

@@ -332,10 +332,6 @@ WorkerStats run_worker(const std::function<int()>& connect,
         jsonl::to_u64(jsonl::field(*reply, "trial_end")));
     const std::uint64_t master_seed =
         jsonl::to_u64(jsonl::field(*reply, "master_seed"));
-    const unsigned threads = options.threads_per_trial != 0
-                                 ? options.threads_per_trial
-                                 : static_cast<unsigned>(jsonl::to_u64(
-                                       jsonl::field(*reply, "threads_per_trial")));
     const bool telemetry =
         jsonl::field(*reply, "collect_telemetry") == "true";
 
@@ -353,7 +349,6 @@ WorkerStats run_worker(const std::function<int()>& connect,
         std::to_string(trial_begin) + "," + std::to_string(trial_end) + ")");
 
     campaign::TrialOptions trial_options;
-    trial_options.threads_per_trial = threads;
     trial_options.collect_telemetry = telemetry;
     // The unit's row frames, kept until the seal is acked.
     std::vector<std::string> rows;

@@ -36,8 +36,6 @@ namespace dualrad::serve {
 struct WorkerOptions {
   /// Requested worker id; empty asks the coordinator to assign one.
   std::string worker_id;
-  /// Overrides the coordinator-provided threads_per_trial when nonzero.
-  unsigned threads_per_trial = 0;
   /// Reconnect backoff: attempt k (within one disconnected episode) waits
   /// min(backoff_max, backoff_base * 2^k) scaled by a deterministic jitter
   /// factor in [0.5, 1.5) keyed by (worker id, lifetime attempt count) — so

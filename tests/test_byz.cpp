@@ -21,7 +21,7 @@
 /// validation and incremental growth, deterministic forged-token ids, the
 /// CPA-vs-uncertified-relay acceptance contrast on a hand-built f-locally-
 /// bounded instance, the forged-token audit dimension through Full and
-/// Compressed traces, the broadcast-contract integration, and engine/thread
+/// Compressed traces, the broadcast-contract integration, and cross-engine
 /// equivalence of Byzantine executions.
 
 namespace dualrad {
@@ -440,21 +440,13 @@ TEST(ByzEquivalence, FiveNodeForgeRunsIdenticallyEverywhere) {
       byz::make_uncertified_relay_factory(net.node_count(), {.relay_p = 1.0});
   const SimConfig config = byz_config(plan, 16, TraceLevel::Full);
 
-  BenignAdversary a1, a2, a3, a4;
+  BenignAdversary a1, a2;
   const SimResult serial = run_broadcast(net, relay, a1, config);
   const SimResult reference = run_broadcast_reference(net, relay, a2, config);
   EXPECT_EQ(serial.forged_tokens, reference.forged_tokens);
   EXPECT_EQ(serial.total_sends, reference.total_sends);
   EXPECT_EQ(serial.first_token, reference.first_token);
-  SimConfig two = config;
-  two.threads = 2;
-  SimConfig four = config;
-  four.threads = 4;
-  const SimResult sharded2 = run_broadcast(net, relay, a3, two);
-  const SimResult sharded4 = run_broadcast(net, relay, a4, four);
-  EXPECT_EQ(serial.forged_tokens, sharded2.forged_tokens);
-  EXPECT_EQ(serial.forged_tokens, sharded4.forged_tokens);
-  EXPECT_EQ(serial.trace.blob, sharded4.trace.blob);
+  EXPECT_EQ(serial.trace.blob, reference.trace.blob);
 }
 
 }  // namespace

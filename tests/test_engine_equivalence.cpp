@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -32,11 +34,11 @@
 /// The sparse CSR engine (run_broadcast) must be *bit-identical* to the
 /// dense reference engine (run_broadcast_reference) — same SimResult down to
 /// trace vectors and process metrics — for every network, algorithm,
-/// adversary, collision rule, start rule, token count, AND thread count of
-/// the sharded parallel round kernel (SimConfig::threads). These tests sweep
-/// randomized small executions across the full model surface (each also
-/// replayed under threads in {2, 4}) and then replay the entire builtin
-/// campaign grid through both engines with the campaign's own trial seeds.
+/// adversary, collision rule, start rule and token count. These tests sweep
+/// randomized small executions across the full model surface, pin the
+/// calendar's node-order polling against hints that scramble bucket order,
+/// and then replay the entire builtin campaign grid through both engines
+/// with the campaign's own trial seeds.
 
 namespace dualrad {
 namespace {
@@ -86,23 +88,14 @@ void expect_identical(const SimResult& a, const SimResult& b,
   }
 }
 
-/// Run one spec through the production engine (serial), the production
-/// engine under the sharded parallel kernel (threads in {2, 4}), and the
-/// reference engine — each with its own fresh adversary — and require all
-/// four SimResults identical.
+/// Run one spec through the production engine and the reference engine —
+/// each with its own fresh adversary — and require both SimResults
+/// identical.
 void run_both(const DualGraph& net, const ProcessFactory& factory,
               const campaign::AdversaryFactory& adversary,
               const SimConfig& config, const std::string& label) {
   const auto adv_a = adversary(mix_seed(config.seed, 0xAD));
   const SimResult fast = run_broadcast(net, factory, *adv_a, config);
-  for (const unsigned threads : {2u, 4u}) {
-    SimConfig parallel = config;
-    parallel.threads = threads;
-    const auto adv_p = adversary(mix_seed(config.seed, 0xAD));
-    const SimResult sharded = run_broadcast(net, factory, *adv_p, parallel);
-    expect_identical(sharded, fast,
-                     label + "/threads=" + std::to_string(threads));
-  }
   const auto adv_b = adversary(mix_seed(config.seed, 0xAD));
   const SimResult reference =
       run_broadcast_reference(net, factory, *adv_b, config);
@@ -303,7 +296,7 @@ TEST(EngineEquivalence, StopOnCompletionOffMatchesToo) {
 }
 
 TEST(EngineEquivalence, BoundedTraceMatchesAndFoldsCounts) {
-  // Bounded mode must agree between engines and thread counts (run_both),
+  // Bounded mode must agree between engines (run_both),
   // and its ring + aggregates must be exactly the tail + fold of what
   // Counts mode records for the same execution.
   const DualGraph net = duals::layered_sparse(
@@ -365,10 +358,9 @@ TEST(EngineEquivalence, BoundedTraceMatchesAndFoldsCounts) {
 }
 
 TEST(EngineEquivalence, BuiltinCampaignGridIsBitIdentical) {
-  // Replay the builtin catalogue through both engines — and the parallel
-  // kernel at 4 threads — with the campaign's own derived trial seeds
-  // (master seed 1, trial 0 — exactly what run_campaign hands the
-  // simulator), proving the production engine swap does not shift a single
+  // Replay the builtin catalogue through both engines with the campaign's
+  // own derived trial seeds (master seed 1, trial 0 — exactly what
+  // run_campaign hands the simulator), proving the production engine swap does not shift a single
   // campaign number. The 100k/1m "slow" points are exercised by
   // bench_engine_scaling instead; everything else runs here.
   const campaign::ScenarioRegistry registry = campaign::builtin_registry();
@@ -390,13 +382,8 @@ TEST(EngineEquivalence, BuiltinCampaignGridIsBitIdentical) {
     config.seed = campaign::trial_seed(1, s.name, 0);
     config.token_sources = s.token_sources;
     const auto adv_a = s.adversary(mix_seed(config.seed, 0xAD));
-    const auto adv_p = s.adversary(mix_seed(config.seed, 0xAD));
     const auto adv_b = s.adversary(mix_seed(config.seed, 0xAD));
     const SimResult fast = run_broadcast(net, factory, *adv_a, config);
-    SimConfig parallel = config;
-    parallel.threads = 4;
-    const SimResult sharded = run_broadcast(net, factory, *adv_p, parallel);
-    expect_identical(sharded, fast, s.name + "/threads=4");
     const SimResult reference =
         run_broadcast_reference(net, factory, *adv_b, config);
     expect_identical(fast, reference, s.name);
@@ -409,7 +396,7 @@ TEST(EngineEquivalence, ByzantineExecutionsAreBitIdentical) {
   // Byzantine node faults (src/byz/) run through the same hot paths —
   // silenced protocol sends, injected forged sends, forged-delivery masks —
   // and every byproduct including SimResult::forged_tokens must stay
-  // bit-identical across both engines and the sharded kernel.
+  // bit-identical across both engines.
   const DualGraph layered = duals::layered_sparse(
       {.layers = 8, .width = 6, .fwd_degree = 3, .unreliable_degree = 2,
        .seed = 5});
@@ -451,31 +438,29 @@ TEST(EngineEquivalence, ByzantineExecutionsAreBitIdentical) {
 
 TEST(EngineEquivalence, ByzCampaignExportsAreThreadInvariant) {
   // The byz/* scenario family must export byte-identical JSONL/CSV for any
-  // intra-trial thread count — the acceptance pin for the node-fault
+  // campaign worker count — the acceptance pin for the node-fault
   // subsystem riding the campaign engine's determinism contract.
   const campaign::ScenarioRegistry registry = campaign::builtin_registry();
   const std::vector<campaign::Scenario> scenarios =
       registry.match("byz/layered-1k");
   ASSERT_GE(scenarios.size(), 4u);
   std::string base_jsonl, base_csv;
-  for (const unsigned threads_per_trial : {1u, 2u, 4u}) {
+  for (const unsigned threads : {1u, 2u, 4u}) {
     campaign::CampaignConfig config;
     config.master_seed = 7;
-    config.threads = 2;
-    config.threads_per_trial = threads_per_trial;
+    config.threads = threads;
     config.trials_override = 1;
     const campaign::CampaignResult result =
         campaign::run_campaign(scenarios, config);
     const std::string jsonl = campaign::trials_to_jsonl(result.trials, false);
     const std::string csv = campaign::trials_to_csv(result.trials, false);
     ASSERT_FALSE(jsonl.empty());
-    if (threads_per_trial == 1u) {
+    if (threads == 1u) {
       base_jsonl = jsonl;
       base_csv = csv;
     } else {
-      EXPECT_EQ(jsonl, base_jsonl)
-          << "threads_per_trial=" << threads_per_trial;
-      EXPECT_EQ(csv, base_csv) << "threads_per_trial=" << threads_per_trial;
+      EXPECT_EQ(jsonl, base_jsonl) << "threads=" << threads;
+      EXPECT_EQ(csv, base_csv) << "threads=" << threads;
     }
   }
 }
@@ -483,40 +468,197 @@ TEST(EngineEquivalence, ByzCampaignExportsAreThreadInvariant) {
 TEST(EngineEquivalence, TelemetryDoesNotPerturbResults) {
   // The telemetry layer is strictly out-of-band: attaching an
   // obs::RoundTelemetry must leave the SimResult bit-identical — both
-  // engines, serial and sharded (threads in {1, 2, 4}), with a full trace so
-  // any perturbation anywhere in delivery or accounting would surface.
+  // engines, with a full trace so any perturbation anywhere in delivery or
+  // accounting would surface.
   const DualGraph net = duals::gray_zone({.n = 40, .seed = 9});
   const ProcessFactory factory = make_decay_factory(net.node_count());
   const auto adversary =
       campaign::make_seeded_adversary_factory<BernoulliAdversary>(0.5);
   for (const CollisionRule rule : {CollisionRule::CR2, CollisionRule::CR4}) {
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      SimConfig config;
-      config.rule = rule;
-      config.start = StartRule::Asynchronous;
-      config.max_rounds = 30'000;
-      config.seed = 4242;
-      config.trace = TraceLevel::Full;
-      config.threads = threads;
-      const auto adv_off = adversary(mix_seed(config.seed, 0xAD));
-      const SimResult off = run_broadcast(net, factory, *adv_off, config);
+    SimConfig config;
+    config.rule = rule;
+    config.start = StartRule::Asynchronous;
+    config.max_rounds = 30'000;
+    config.seed = 4242;
+    config.trace = TraceLevel::Full;
+    const auto adv_off = adversary(mix_seed(config.seed, 0xAD));
+    const SimResult off = run_broadcast(net, factory, *adv_off, config);
 
-      obs::RoundTelemetry telemetry(8);
-      config.telemetry = &telemetry;
-      const auto adv_on = adversary(mix_seed(config.seed, 0xAD));
-      const SimResult on = run_broadcast(net, factory, *adv_on, config);
-      const std::string label = "telemetry/" + std::string(to_string(rule)) +
-                                "/threads=" + std::to_string(threads);
-      expect_identical(on, off, label);
-      EXPECT_EQ(telemetry.rounds_recorded(), off.rounds_executed) << label;
+    obs::RoundTelemetry telemetry(8);
+    config.telemetry = &telemetry;
+    const auto adv_on = adversary(mix_seed(config.seed, 0xAD));
+    const SimResult on = run_broadcast(net, factory, *adv_on, config);
+    const std::string label = "telemetry/" + std::string(to_string(rule));
+    expect_identical(on, off, label);
+    EXPECT_EQ(telemetry.rounds_recorded(), off.rounds_executed) << label;
 
-      const auto adv_ref = adversary(mix_seed(config.seed, 0xAD));
-      obs::RoundTelemetry ref_telemetry(8);
-      SimConfig ref_config = config;
-      ref_config.telemetry = &ref_telemetry;
-      const SimResult ref =
-          run_broadcast_reference(net, factory, *adv_ref, ref_config);
-      expect_identical(ref, off, label + "/reference");
+    const auto adv_ref = adversary(mix_seed(config.seed, 0xAD));
+    obs::RoundTelemetry ref_telemetry(8);
+    SimConfig ref_config = config;
+    ref_config.telemetry = &ref_telemetry;
+    const SimResult ref =
+        run_broadcast_reference(net, factory, *adv_ref, ref_config);
+    expect_identical(ref, off, label + "/reference");
+  }
+}
+
+/// A relay whose send rounds are a pseudo-random function of (id, round,
+/// messages heard), announced by an exact next_send_round hint 1-11 rounds
+/// ahead. Every message heard reshuffles the schedule, so the engine's
+/// calendar buckets fill from many planning rounds — poll replans in node
+/// order, reception replans in arrival order — and pop in no node order.
+/// Nodes without a token transmit noise (kNoToken), which keeps collisions
+/// frequent; odd ids leave silence_transparent off to exercise the noisy
+/// delivery path. `polls` (shared by every process of one run) logs each
+/// next_action call as (round, pid).
+class ScrambledHintProcess final : public Process {
+ public:
+  using PollLog = std::vector<std::pair<Round, ProcessId>>;
+
+  ScrambledHintProcess(ProcessId id, std::uint64_t seed,
+                       std::shared_ptr<PollLog> polls)
+      : Process(id), rng_(seed), polls_(std::move(polls)) {}
+
+  void on_activate(Round round,
+                   const std::optional<Message>& initial) override {
+    (void)round;
+    if (initial.has_value()) token_ = initial->token;
+  }
+  [[nodiscard]] Action next_action(Round round) const override {
+    polls_->emplace_back(round, id());
+    if (!sends_at(round)) return Action::silent();
+    return Action::transmit(Message{token_, id(), round, heard_});
+  }
+  void on_receive(Round round, const Reception& reception) override {
+    (void)round;
+    if (!reception.is_message()) return;
+    ++heard_;
+    if (token_ == kNoToken) token_ = reception.message->token;
+  }
+  [[nodiscard]] Round next_send_round(Round from) const override {
+    Round r = from;
+    while (!sends_at(r)) ++r;
+    return r;
+  }
+  [[nodiscard]] bool silence_transparent() const override {
+    return id() % 2 == 0;
+  }
+  [[nodiscard]] std::unique_ptr<Process> clone() const override {
+    return std::make_unique<ScrambledHintProcess>(*this);
+  }
+
+ private:
+  [[nodiscard]] bool sends_at(Round r) const {
+    return rng_.below(6, r, heard_) == 0;
+  }
+
+  CounterRng rng_;
+  std::shared_ptr<PollLog> polls_;
+  TokenId token_ = kNoToken;
+  std::uint64_t heard_ = 0;
+};
+
+/// Forwards to a Bernoulli adversary (whose RNG stream makes call order
+/// observable) and requires the sender list of every round, and the
+/// collided nodes handed to resolve_cr4 within a round, to be strictly
+/// ascending.
+class OrderCheckingAdversary final : public Adversary {
+ public:
+  explicit OrderCheckingAdversary(std::uint64_t seed) : inner_(0.5, seed) {}
+
+  void choose_unreliable_reach(const AdversaryView& view,
+                               std::span<const NodeId> senders,
+                               ReachSink& sink) override {
+    EXPECT_TRUE(std::adjacent_find(senders.begin(), senders.end(),
+                                   std::greater_equal<>()) == senders.end())
+        << "senders not strictly ascending in round " << view.round;
+    rounds_with_senders += senders.empty() ? 0 : 1;
+    last_resolved_ = -1;
+    inner_.choose_unreliable_reach(view, senders, sink);
+  }
+  [[nodiscard]] Reception resolve_cr4(
+      const AdversaryView& view, NodeId node,
+      const std::vector<Message>& arrivals) override {
+    EXPECT_GT(node, last_resolved_) << "CR4 resolution out of node order";
+    last_resolved_ = node;
+    ++resolutions;
+    return inner_.resolve_cr4(view, node, arrivals);
+  }
+  void on_execution_start(const DualGraph& net) override {
+    inner_.on_execution_start(net);
+  }
+  void on_round_end(const AdversaryView& view) override {
+    inner_.on_round_end(view);
+  }
+
+  std::size_t rounds_with_senders = 0;
+  std::size_t resolutions = 0;
+
+ private:
+  BernoulliAdversary inner_;
+  NodeId last_resolved_ = -1;
+};
+
+TEST(EngineEquivalence, ScrambledCalendarOrderPollsInNodeOrder) {
+  // The sparse engine sorts each round's calendar pops before polling, so
+  // process calls, senders and everything downstream run in node order no
+  // matter how hints and reception replans scrambled the buckets. Pinned
+  // against the reference engine under CR4 with collisions, and under a
+  // forging Byzantine plan whose rewrite_senders removes every forger's
+  // protocol sends and adds its forged injections.
+  const DualGraph layered = duals::layered_sparse(
+      {.layers = 8, .width = 6, .fwd_degree = 3, .unreliable_degree = 2,
+       .seed = 5});
+  const DualGraph grayzone = duals::gray_zone({.n = 40, .seed = 9});
+  for (const DualGraph* net : {&layered, &grayzone}) {
+    const std::string tag = net == &layered ? "layered" : "grayzone";
+    const byz::ByzantinePlan plan = byz::make_random_plan(
+        *net, /*f=*/1, /*count=*/4, byz::ByzBehavior::Forge, {}, 0xF00D);
+    ASSERT_GE(plan.faults().size(), 1u);
+    for (const bool byzantine : {false, true}) {
+      for (const StartRule start :
+           {StartRule::Synchronous, StartRule::Asynchronous}) {
+        SimConfig config;
+        config.rule = CollisionRule::CR4;
+        config.start = start;
+        config.max_rounds = 400;
+        config.seed = mix_seed(77, static_cast<std::uint64_t>(start));
+        config.trace = TraceLevel::Full;
+        if (byzantine) config.byzantine = &plan;
+        const std::string label =
+            "scrambled/" + tag + (byzantine ? "/forge" : "") +
+            (start == StartRule::Synchronous ? "/sync" : "/async");
+
+        SimResult results[2];
+        for (const bool reference : {false, true}) {
+          auto polls = std::make_shared<ScrambledHintProcess::PollLog>();
+          const ProcessFactory factory = [polls](ProcessId id, NodeId n,
+                                                 std::uint64_t seed) {
+            (void)n;
+            return std::make_unique<ScrambledHintProcess>(id, seed, polls);
+          };
+          OrderCheckingAdversary adversary(config.seed);
+          results[reference ? 1 : 0] =
+              reference
+                  ? run_broadcast_reference(*net, factory, adversary, config)
+                  : run_broadcast(*net, factory, adversary, config);
+          EXPECT_GT(adversary.rounds_with_senders, 0u) << label;
+          EXPECT_GT(adversary.resolutions, 0u) << label;
+          // Identity process mapping: pid == node, so each round's polls
+          // must name strictly ascending nodes.
+          for (std::size_t i = 1; i < polls->size(); ++i) {
+            if ((*polls)[i].first != (*polls)[i - 1].first) continue;
+            EXPECT_LT((*polls)[i - 1].second, (*polls)[i].second)
+                << label << (reference ? "/reference" : "")
+                << " round " << (*polls)[i].first;
+          }
+        }
+        EXPECT_GT(results[0].total_collision_events, 0u) << label;
+        if (byzantine) {
+          EXPECT_FALSE(results[0].forged_tokens.empty()) << label;
+        }
+        expect_identical(results[0], results[1], label);
+      }
     }
   }
 }
@@ -524,8 +666,8 @@ TEST(EngineEquivalence, TelemetryDoesNotPerturbResults) {
 TEST(EngineEquivalence, CompressedTraceDecodesToFullTrace) {
   // TraceLevel::Compressed must store the exact same per-round records as
   // Full, only delta/varint-encoded: decoding round i yields a value-equal
-  // RoundRecord, and the encoded blob is bit-identical across engines and
-  // thread counts (expect_identical covers the blob on the compressed runs).
+  // RoundRecord, and the encoded blob is bit-identical across engines
+  // (expect_identical covers the blob on the compressed runs).
   const DualGraph net = duals::gray_zone({.n = 40, .seed = 9});
   const ProcessFactory factory = make_decay_factory(net.node_count());
   const auto adversary =
@@ -566,7 +708,7 @@ TEST(EngineEquivalence, CompressedTraceDecodesToFullTrace) {
     EXPECT_EQ(compressed.trace.senders_per_round, full.trace.senders_per_round)
         << label;
 
-    // Cross-engine and cross-thread-count: blobs bit-identical.
+    // Cross-engine: blobs bit-identical.
     run_both(net, factory, adversary, config, label);
   }
 }

@@ -16,9 +16,9 @@
 #include "obs/telemetry.hpp"
 
 /// Tests of the observability layer (src/obs): the RoundTelemetry counter
-/// registry against SimResult aggregates, the per-shard merge totals, the
-/// Perfetto JSON exporter (through a minimal JSON scanner), and the RSS
-/// sampler. Bit-identity of results with telemetry attached is pinned in
+/// registry against SimResult aggregates, the Perfetto JSON exporter
+/// (through a minimal JSON scanner), and the RSS sampler. Bit-identity of
+/// results with telemetry attached is pinned in
 /// tests/test_engine_equivalence.cpp.
 
 namespace dualrad {
@@ -34,7 +34,7 @@ SimResult run_decay(const DualGraph& net, SimConfig config,
 
 TEST(Telemetry, WindowRingAndTotals) {
   obs::RoundTelemetry t(4);
-  t.begin_execution(10, 2);
+  t.begin_execution(10);
   for (Round r = 1; r <= 10; ++r) {
     t.begin_round(r);
     t.counters().deliveries = static_cast<std::uint64_t>(r);
@@ -56,7 +56,7 @@ TEST(Telemetry, WindowRingAndTotals) {
   EXPECT_EQ(samples.front().round, 7);
   EXPECT_EQ(samples.back().round, 10);
   // begin_execution resets everything.
-  t.begin_execution(5, 1);
+  t.begin_execution(5);
   EXPECT_EQ(t.rounds_recorded(), 0);
   EXPECT_EQ(t.totals().deliveries, 0u);
 }
@@ -88,52 +88,6 @@ TEST(Telemetry, CountersMatchSimResultAggregates) {
     EXPECT_GE(telemetry.totals().deliveries, telemetry.totals().senders);
     EXPECT_GE(telemetry.totals().polled, telemetry.totals().senders);
     EXPECT_GT(telemetry.totals().replans, 0u);
-  }
-}
-
-TEST(Telemetry, ShardTotalsMergeEqualsSerial) {
-  // The per-shard sub-counters are folded during the deterministic serial
-  // merge, so their sums — and every whole-execution counter — must be equal
-  // for any thread count.
-  const DualGraph net = duals::layered_sparse({.layers = 40,
-                                               .width = 60,
-                                               .fwd_degree = 3,
-                                               .unreliable_degree = 2,
-                                               .seed = 3});
-  SimConfig config;
-  config.rule = CollisionRule::CR3;
-  config.start = StartRule::Asynchronous;
-  config.max_rounds = 30'000;
-  config.seed = 21;
-
-  obs::RoundTelemetry serial(8);
-  const SimResult base = run_decay(net, config, &serial);
-  ASSERT_TRUE(base.completed);
-  const auto shard_sums = [](const obs::RoundTelemetry& t) {
-    obs::ShardTotals sum;
-    for (const obs::ShardTotals& s : t.shard_totals()) {
-      sum.touched += s.touched;
-      sum.collided += s.collided;
-      sum.replans += s.replans;
-      sum.rounds += s.rounds;
-    }
-    return sum;
-  };
-  const obs::ShardTotals serial_sum = shard_sums(serial);
-  EXPECT_EQ(serial.shards(), 1u);
-
-  for (const unsigned threads : {2u, 4u}) {
-    SimConfig parallel = config;
-    parallel.threads = threads;
-    obs::RoundTelemetry sharded(8);
-    const SimResult result = run_decay(net, parallel, &sharded);
-    ASSERT_TRUE(result.completed);
-    EXPECT_EQ(sharded.shards(), threads);
-    EXPECT_EQ(sharded.totals(), serial.totals()) << threads << " threads";
-    const obs::ShardTotals sum = shard_sums(sharded);
-    EXPECT_EQ(sum.touched, serial_sum.touched) << threads << " threads";
-    EXPECT_EQ(sum.collided, serial_sum.collided) << threads << " threads";
-    EXPECT_EQ(sum.replans, serial_sum.replans) << threads << " threads";
   }
 }
 

@@ -49,7 +49,6 @@ struct Options {
   std::string filter;
   std::uint64_t seed = 1;
   unsigned threads = 0;
-  unsigned threads_per_trial = 1;
   std::size_t trials = 0;  // 0 = per-scenario default
   std::string jsonl_path;
   std::string csv_path;
@@ -82,9 +81,6 @@ void usage() {
       "  --seed=N            master seed (default 1)\n"
       "  --threads=N         worker threads (default: hardware concurrency;\n"
       "                      output is identical for any value)\n"
-      "  --threads-per-trial=N  sharded parallel round kernel inside each\n"
-      "                      trial (SimConfig::threads; default 1). Output\n"
-      "                      is identical for any value\n"
       "  --trials=N          override every scenario's trial count\n"
       "  --jsonl=PATH        write per-trial rows as JSONL\n"
       "  --csv=PATH          write per-trial rows as CSV\n"
@@ -171,8 +167,6 @@ std::optional<Options> parse(int argc, char** argv) try {
       options.filter = *v;
     } else if (auto v = value("--seed=")) {
       options.seed = std::stoull(*v);
-    } else if (auto v = value("--threads-per-trial=")) {
-      options.threads_per_trial = static_cast<unsigned>(std::stoul(*v));
     } else if (auto v = value("--threads=")) {
       options.threads = static_cast<unsigned>(std::stoul(*v));
     } else if (auto v = value("--trials=")) {
@@ -259,8 +253,7 @@ std::string mac_rows_to_jsonl(const std::vector<mac::TrialLatencyRow>& rows) {
 // (trial_seed, mix_seed(seed, 0xAD) adversary), so the traced execution is
 // the same one the campaign ran.
 void write_perfetto_for(const campaign::Scenario& scenario,
-                        std::uint64_t master_seed, unsigned threads_per_trial,
-                        const std::string& path) {
+                        std::uint64_t master_seed, const std::string& path) {
   const DualGraph net = scenario.network();
   const ProcessFactory factory = scenario.algorithm(net);
   const std::uint64_t seed = campaign::trial_seed(master_seed, scenario.name, 0);
@@ -273,7 +266,6 @@ void write_perfetto_for(const campaign::Scenario& scenario,
   sim.max_rounds = scenario.max_rounds;
   sim.seed = seed;
   sim.token_sources = scenario.token_sources;
-  sim.threads = threads_per_trial;
   obs::RoundTelemetry telemetry;  // default window: last 4096 rounds
   sim.telemetry = &telemetry;
   if (scenario.runner) {
@@ -320,7 +312,6 @@ int main(int argc, char** argv) {
     campaign::CampaignConfig config;
     config.master_seed = options.seed;
     config.threads = options.threads;
-    config.threads_per_trial = options.threads_per_trial;
     config.trials_override = options.trials;
     config.measure_wall_time = options.timing;
     config.collect_telemetry = !options.telemetry_jsonl_path.empty();
@@ -494,8 +485,7 @@ int main(int argc, char** argv) {
           return 1;
         }
       }
-      write_perfetto_for(*traced, options.seed, options.threads_per_trial,
-                         options.perfetto_path);
+      write_perfetto_for(*traced, options.seed, options.perfetto_path);
     }
     if (!options.quiet) print_summaries(result, options.timing);
 

@@ -74,7 +74,6 @@ struct Options {
   std::string journal_path;
   bool resume = false;
   bool idle = false;
-  unsigned threads_per_trial = 0;
   unsigned spawn = 0;
   unsigned heartbeat_secs = 0;
   std::string worker_id;
@@ -107,7 +106,6 @@ void usage() {
       "                      (default 30)\n"
       "  --journal=PATH      crash-safe checkpoint journal (recommended)\n"
       "  --resume            load --journal first and skip committed trials\n"
-      "  --threads-per-trial=N  dispatched to workers in every unit\n"
       "  --telemetry         collect per-trial telemetry rows from workers\n"
       "  --spawn=N           fork N worker processes connected to --listen\n"
       "  --heartbeat=SECS    print coordinator status every SECS seconds\n"
@@ -125,7 +123,6 @@ void usage() {
       "worker — run one worker process\n"
       "  --connect=EP        coordinator endpoint (required)\n"
       "  --id=NAME           stable worker id (default: assigned)\n"
-      "  --threads-per-trial=N  override the coordinator's value\n"
       "  --faults=SPEC       inject wire/lifecycle faults in this worker\n"
       "\n"
       "submit — load a campaign into an --idle coordinator\n"
@@ -177,8 +174,6 @@ std::optional<Options> parse(int argc, char** argv) try {
       options.lease_secs = std::stod(*v);
     } else if (auto v = value("--journal=")) {
       options.journal_path = *v;
-    } else if (auto v = value("--threads-per-trial=")) {
-      options.threads_per_trial = static_cast<unsigned>(std::stoul(*v));
     } else if (auto v = value("--spawn=")) {
       options.spawn = static_cast<unsigned>(std::stoul(*v));
     } else if (auto v = value("--heartbeat=")) {
@@ -292,8 +287,6 @@ int run_serve(const Options& options) {
   config.lease_secs = options.lease_secs;
   config.journal_path = options.journal_path;
   config.resume = options.resume;
-  config.threads_per_trial =
-      options.threads_per_trial != 0 ? options.threads_per_trial : 1;
   config.collect_telemetry = options.telemetry_wanted;
   serve::Coordinator coordinator(config);
 
@@ -543,7 +536,6 @@ int run_worker_command(const Options& options) {
   const campaign::ScenarioRegistry registry = campaign::builtin_registry();
   serve::WorkerOptions worker_options;
   worker_options.worker_id = options.worker_id;
-  worker_options.threads_per_trial = options.threads_per_trial;
   worker_options.stop = &g_stop;
   if (!options.quiet) {
     worker_options.log = [](const std::string& line) {

@@ -9,8 +9,7 @@
 //   * under the production engine ("csr");
 //   * under the reference engine where n makes that tolerable (n <= 10^4;
 //     the reference's O(n)-per-round scans are the point of the comparison).
-// The 10^6 points run under TraceLevel::Bounded, proving the memory-capped
-// trace mode on the workloads it exists for.
+// Every run is untraced; --telemetry gives the O(window) per-round view.
 // Emits BENCH_engine.json: the machine (nproc, CPU model, compiler, build
 // flags) and repeat count, then per (scenario, engine) the completion round,
 // the median and min-max wall time over --repeat runs, rounds/sec at the
@@ -112,15 +111,13 @@ std::string cpu_model() {
 
 Measurement run_one(const campaign::Scenario& spec, const DualGraph& net,
                     const ProcessFactory& factory, EngineKind kind,
-                    std::size_t repeat, bool bounded_trace,
-                    obs::RoundTelemetry* telemetry) {
+                    std::size_t repeat, obs::RoundTelemetry* telemetry) {
   SimConfig config;
   config.rule = spec.rule;
   config.start = spec.start;
   config.max_rounds = spec.max_rounds;
   config.seed = campaign::trial_seed(1, spec.name, 0);
   config.token_sources = spec.token_sources;
-  if (bounded_trace) config.trace = TraceLevel::Bounded;
   config.telemetry = telemetry;
 
   // Per-measurement RSS: reset the kernel high-water mark so this row's peak
@@ -303,23 +300,19 @@ int main(int argc, char** argv) {
       continue;
     }
     const int rank = size_rank(spec);
-    // The 10^6 points run under the memory-capped Bounded trace — the mode
-    // exists exactly for them.
-    const bool bounded = rank >= 3;
 
     const DualGraph net = spec.network();
     const ProcessFactory factory = spec.algorithm(net);
 
     const Measurement fast =
-        run_one(spec, net, factory, EngineKind::Csr, repeat, bounded, tel);
+        run_one(spec, net, factory, EngineKind::Csr, repeat, tel);
     record(fast);
 
     // The dense engine's O(n) rounds make 100k+ points minutes-slow; the
     // comparison points are the 1k and 10k grid.
     if (rank <= 1) {
-      const Measurement ref = run_one(spec, net, factory,
-                                      EngineKind::Reference, repeat, bounded,
-                                      tel);
+      const Measurement ref =
+          run_one(spec, net, factory, EngineKind::Reference, repeat, tel);
       record(ref);
       if (ref.rounds_per_sec > 0) {
         speedups[spec.name] = fast.rounds_per_sec / ref.rounds_per_sec;

@@ -7,6 +7,7 @@
 // simulating adversary. Prints the first rounds of both traces side by side
 // — they are identical, which is the content of Lemma 1.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -44,7 +45,7 @@ int main() {
   InterferenceConfig iconfig;
   iconfig.rule = CollisionRule::CR1;
   iconfig.max_rounds = 100'000;
-  iconfig.trace = TraceLevel::Full;
+  iconfig.trace = TraceLevel::Compressed;
   const auto interference = run_interference_broadcast(inet, factory, iconfig);
 
   const DualGraph dual = inet.to_dual();
@@ -53,7 +54,7 @@ int main() {
   dconfig.rule = CollisionRule::CR1;
   dconfig.start = StartRule::Synchronous;
   dconfig.max_rounds = 100'000;
-  dconfig.trace = TraceLevel::Full;
+  dconfig.trace = TraceLevel::Compressed;
   const auto dual_run = run_broadcast(dual, factory, adversary, dconfig);
 
   std::printf("interference model completed in %lld rounds;"
@@ -64,14 +65,17 @@ int main() {
   std::printf("%-6s | %-40s | %-40s\n", "round", "interference receptions",
               "dual-graph receptions");
   const std::size_t show_rounds =
-      std::min<std::size_t>(10, interference.trace.rounds.size());
+      std::min({std::size_t{10}, interference.trace.compressed_rounds(),
+                dual_run.trace.compressed_rounds()});
+  RoundRecord irec, drec;
   for (std::size_t r = 0; r < show_rounds; ++r) {
+    interference.trace.decode_compressed(r, n, irec);
+    dual_run.trace.decode_compressed(r, n, drec);
     std::string left, right;
     for (NodeId v = 0; v < n; ++v) {
-      left += show(interference.trace.rounds[r].receptions[
-                       static_cast<std::size_t>(v)]) + " ";
-      right += show(dual_run.trace.rounds[r].receptions[
-                        static_cast<std::size_t>(v)]) + " ";
+      const auto uv = static_cast<std::size_t>(v);
+      left += show(irec.receptions[uv]) + " ";
+      right += show(drec.receptions[uv]) + " ";
     }
     std::printf("%-6zu | %-40s | %-40s\n", r + 1, left.c_str(), right.c_str());
   }

@@ -20,9 +20,8 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
                             CollisionRule rule,
                             const std::vector<NodeId>& token_sources) {
   AuditReport report;
-  const bool compressed = result.trace.level == TraceLevel::Compressed;
-  if (result.trace.level != TraceLevel::Full && !compressed) {
-    report.fail("audit requires a full trace");
+  if (result.trace.level != TraceLevel::Compressed) {
+    report.fail("audit requires a trace");
     return report;
   }
   const NodeId n = net.node_count();
@@ -123,17 +122,11 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
   std::int64_t epoch = 0;
   std::int64_t reach_mark = 0;
 
-  // Compressed traces are decoded one round at a time into a reusable
-  // scratch record (the decode is value-identical to the Full-mode record),
-  // so the audit itself never materializes the whole history.
-  RoundRecord scratch;
-  const std::size_t round_count = compressed
-                                      ? result.trace.compressed_rounds()
-                                      : result.trace.rounds.size();
-  for (std::size_t ri = 0; ri < round_count; ++ri) {
-    if (compressed) result.trace.decode_compressed(ri, n, scratch);
-    const RoundRecord& record =
-        compressed ? scratch : result.trace.rounds[ri];
+  // Rounds are decoded one at a time into a reusable record, so the audit
+  // never materializes the whole history.
+  RoundRecord record;
+  for (std::size_t ri = 0; ri < result.trace.compressed_rounds(); ++ri) {
+    result.trace.decode_compressed(ri, n, record);
     ++epoch;
     const auto deposit = [&](NodeId v, const Message& m) {
       const auto uv = static_cast<std::size_t>(v);

@@ -32,8 +32,8 @@ struct AuditReport {
   [[nodiscard]] bool forged_token_won() const { return !forged_wins.empty(); }
 };
 
-/// Audit a complete trace (requires SimConfig::trace == TraceLevel::Full or
-/// TraceLevel::Compressed — compressed rounds are decoded on the fly):
+/// Audit a complete trace (requires SimConfig::trace ==
+/// TraceLevel::Compressed; rounds are decoded on the fly):
 ///  - every reached node of every sender is a G'-out-neighbor;
 ///  - every G-out-neighbor of every sender is reached (reliable edges
 ///    always deliver);

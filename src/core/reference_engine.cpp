@@ -107,13 +107,7 @@ SimResult run_broadcast_reference(const DualGraph& net,
   }
 
   result.trace.level = config.trace;
-  if (config.trace == TraceLevel::Bounded) {
-    DUALRAD_REQUIRE(config.trace_window >= 1,
-                    "bounded trace needs a positive window");
-    result.trace.window = config.trace_window;
-    result.trace.ring_senders.assign(config.trace_window, 0);
-    result.trace.ring_collisions.assign(config.trace_window, 0);
-  }
+  const bool record_trace = config.trace == TraceLevel::Compressed;
 
   // Reusable per-round buffers. The ReachSink is handed to the adversary
   // every round with capacity retained — no per-round reach allocations.
@@ -198,9 +192,6 @@ SimResult run_broadcast_reference(const DualGraph& net,
     end_phase(obs::Phase::Adversary);
 
     RoundRecord record;
-    const bool full_trace = config.trace == TraceLevel::Full;
-    const bool compressed_trace = config.trace == TraceLevel::Compressed;
-    const bool record_trace = full_trace || compressed_trace;
     if (record_trace) record.round = round;
 
     // Message propagation: sender itself + G out-neighbors + chosen extras.
@@ -334,21 +325,9 @@ SimResult run_broadcast_reference(const DualGraph& net,
       telemetry->end_round();
     }
 
-    if (config.trace == TraceLevel::Counts || record_trace) {
-      result.trace.senders_per_round.push_back(
-          static_cast<std::uint32_t>(senders.size()));
-      result.trace.collisions_per_round.push_back(collision_events);
-    } else if (config.trace == TraceLevel::Bounded) {
-      result.trace.record_bounded_round(
-          round, static_cast<std::uint32_t>(senders.size()), collision_events);
-    }
     if (record_trace) {
       record.receptions.assign(receptions.begin(), receptions.end());
-      if (full_trace) {
-        result.trace.rounds.push_back(std::move(record));
-      } else {
-        result.trace.append_compressed(record);
-      }
+      result.trace.append_compressed(record);
     }
 
     if (held_count == all_held && !result.completed) {

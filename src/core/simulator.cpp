@@ -56,7 +56,7 @@ namespace dualrad {
 /// no-ops, adversary call order (one sealed ReachSink batch per round with
 /// senders ascending; CR4 resolutions in ascending node order, exactly the
 /// reference's node scan; on_round_end with the round's ascending coverage
-/// delta), RNG streams, SimResult including full traces — is bit-identical
+/// delta), RNG streams, SimResult including traces — is bit-identical
 /// to the reference engine; tests/test_engine_equivalence.cpp enforces this
 /// across random small executions and the whole builtin campaign grid.
 
@@ -136,9 +136,6 @@ Simulator::Simulator(const DualGraph& net, ProcessFactory factory,
       config_(config) {
   DUALRAD_REQUIRE(config_.max_rounds >= 1, "max_rounds must be positive");
   DUALRAD_REQUIRE(static_cast<bool>(factory_), "process factory must be set");
-  DUALRAD_REQUIRE(config_.trace != TraceLevel::Bounded ||
-                      config_.trace_window >= 1,
-                  "bounded trace needs a positive window");
 }
 
 SimResult run_broadcast(const DualGraph& net, const ProcessFactory& factory,
@@ -275,18 +272,9 @@ SimResult Simulator::run() {
   }
 
   result.trace.level = config_.trace;
-  const bool full_trace = config_.trace == TraceLevel::Full;
-  const bool compressed_trace = config_.trace == TraceLevel::Compressed;
-  // Compressed mode builds the identical per-round scratch record and then
-  // delta-encodes it (core/trace.cpp) instead of storing it.
-  const bool record_trace = full_trace || compressed_trace;
-  const bool counted_trace =
-      config_.trace == TraceLevel::Counts || record_trace;
-  if (config_.trace == TraceLevel::Bounded) {
-    result.trace.window = config_.trace_window;
-    result.trace.ring_senders.assign(config_.trace_window, 0);
-    result.trace.ring_collisions.assign(config_.trace_window, 0);
-  }
+  // A traced round is built as a scratch record, then delta-encoded onto
+  // the blob (core/trace.cpp).
+  const bool record_trace = config_.trace == TraceLevel::Compressed;
 
   // Poll and deliver walk node lists whose process objects are scattered
   // heap cells far beyond the caches. Two-stage prefetch: the proc_at slot
@@ -609,19 +597,7 @@ SimResult Simulator::run() {
       telemetry->end_round();
     }
 
-    if (counted_trace) {
-      result.trace.senders_per_round.push_back(
-          static_cast<std::uint32_t>(senders.size()));
-      result.trace.collisions_per_round.push_back(collision_events);
-    } else if (config_.trace == TraceLevel::Bounded) {
-      result.trace.record_bounded_round(
-          round, static_cast<std::uint32_t>(senders.size()), collision_events);
-    }
-    if (full_trace) {
-      result.trace.rounds.push_back(std::move(record));
-    } else if (compressed_trace) {
-      result.trace.append_compressed(record);
-    }
+    if (record_trace) result.trace.append_compressed(record);
 
     for (const NodeId v : senders) is_sender[static_cast<std::size_t>(v)] = 0;
 

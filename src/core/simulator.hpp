@@ -50,8 +50,6 @@ struct SimConfig {
   /// Master seed; process i receives mix_seed(seed, i).
   std::uint64_t seed = 1;
   TraceLevel trace = TraceLevel::None;
-  /// Ring capacity (rounds) of the TraceLevel::Bounded trace.
-  std::size_t trace_window = 1024;
   /// Stop as soon as every process holds every token. When false the
   /// execution runs to max_rounds (useful for termination experiments).
   bool stop_on_completion = true;
@@ -89,8 +87,8 @@ struct ProcessMetricSample {
 /// Provenance of one forged token (SimConfig::byzantine executions): who
 /// forged it, when it first flew, and whether it *won* — was ever relayed by
 /// a protocol-following (non-forger) node. Consumed by the trace auditor
-/// (core/audit.hpp), which independently recomputes every field from a Full
-/// or Compressed trace, and by the broadcast-contract checker
+/// (core/audit.hpp), which independently recomputes every field from the
+/// trace, and by the broadcast-contract checker
 /// (campaign/contract.hpp), which reports wins as no-creation violations.
 struct ForgedTokenRecord {
   TokenId token = kNoToken;

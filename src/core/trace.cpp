@@ -1,7 +1,7 @@
 #include "core/trace.hpp"
 
 /// \file trace.cpp
-/// TraceLevel::Compressed codec. LEB128 varints; signed fields (origin can
+/// The trace codec. LEB128 varints; signed fields (origin can
 /// be -1, reach lists are unsorted) go through zigzag. Node id lists that
 /// the engines emit in ascending order (senders, reception touchers) are
 /// stored as unsigned deltas off the previous id. Silence receptions are not
@@ -49,6 +49,26 @@ void put_message(std::vector<std::uint8_t>& out, const Message& m) {
   put_varint(out, zigzag(m.origin));
   put_varint(out, zigzag(m.round_tag));
   put_varint(out, m.payload);
+}
+
+/// A list length. Every entry takes at least one byte, so a count beyond
+/// the bytes left is malformed — checked before anything is sized by it.
+[[nodiscard]] std::uint64_t get_count(const std::uint8_t*& p,
+                                      const std::uint8_t* end) {
+  const std::uint64_t count = get_varint(p, end);
+  DUALRAD_REQUIRE(count <= static_cast<std::uint64_t>(end - p),
+                  "compressed trace list longer than its round");
+  return count;
+}
+
+/// The id after `prev` in a delta-encoded id list. The sum wraps in
+/// unsigned arithmetic, so a hostile delta cannot overflow; the result must
+/// name one of the n nodes.
+[[nodiscard]] NodeId node_at(NodeId prev, std::uint64_t delta, NodeId n) {
+  const std::uint64_t id = static_cast<std::uint64_t>(prev) + delta;
+  DUALRAD_REQUIRE(id < static_cast<std::uint64_t>(n),
+                  "compressed trace node id out of range");
+  return static_cast<NodeId>(id);
 }
 
 [[nodiscard]] Message get_message(const std::uint8_t*& p,
@@ -102,38 +122,40 @@ void Trace::decode_compressed(std::size_t index, NodeId n,
                               RoundRecord& out) const {
   DUALRAD_REQUIRE(index < blob_offsets.size(),
                   "compressed round index out of range");
-  const std::uint8_t* p = blob.data() + blob_offsets[index];
-  const std::uint8_t* const end =
-      index + 1 < blob_offsets.size() ? blob.data() + blob_offsets[index + 1]
-                                      : blob.data() + blob.size();
+  const std::uint64_t begin = blob_offsets[index];
+  const std::uint64_t stop =
+      index + 1 < blob_offsets.size() ? blob_offsets[index + 1] : blob.size();
+  DUALRAD_REQUIRE(begin <= stop && stop <= blob.size(),
+                  "compressed round offsets out of range");
+  const std::uint8_t* p = blob.data() + begin;
+  const std::uint8_t* const end = blob.data() + stop;
 
   out.round = static_cast<Round>(get_varint(p, end));
 
-  const std::uint64_t sender_count = get_varint(p, end);
+  const std::uint64_t sender_count = get_count(p, end);
   out.senders.clear();
   out.senders.resize(sender_count);
-  std::int64_t prev = 0;
+  NodeId prev = 0;
   for (SenderRecord& s : out.senders) {
-    prev += static_cast<std::int64_t>(get_varint(p, end));
-    s.node = static_cast<NodeId>(prev);
+    prev = node_at(prev, get_varint(p, end), n);
+    s.node = prev;
     s.message = get_message(p, end);
-    const std::uint64_t reach_count = get_varint(p, end);
+    const std::uint64_t reach_count = get_count(p, end);
     s.reached.clear();
     s.reached.reserve(reach_count);
-    std::int64_t rprev = 0;
+    NodeId rprev = 0;
     for (std::uint64_t i = 0; i < reach_count; ++i) {
-      rprev += unzigzag(get_varint(p, end));
-      s.reached.push_back(static_cast<NodeId>(rprev));
+      rprev = node_at(
+          rprev, static_cast<std::uint64_t>(unzigzag(get_varint(p, end))), n);
+      s.reached.push_back(rprev);
     }
   }
 
   out.receptions.assign(static_cast<std::size_t>(n), Reception::silence());
-  const std::uint64_t touched = get_varint(p, end);
+  const std::uint64_t touched = get_count(p, end);
   prev = 0;
   for (std::uint64_t i = 0; i < touched; ++i) {
-    prev += static_cast<std::int64_t>(get_varint(p, end));
-    DUALRAD_REQUIRE(prev >= 0 && prev < n,
-                    "compressed trace reception out of range");
+    prev = node_at(prev, get_varint(p, end), n);
     DUALRAD_REQUIRE(p != end, "truncated compressed trace");
     const auto kind = static_cast<ReceptionKind>(*p++);
     Reception& r = out.receptions[static_cast<std::size_t>(prev)];

@@ -7,29 +7,22 @@
 #include "core/types.hpp"
 
 /// \file trace.hpp
-/// Execution traces. `TraceLevel::Full` records, per round, the senders, each
-/// sender's realized reach (reliable + adversary-chosen unreliable), and the
-/// reception of every node — enough to replay and audit an execution.
-/// `Counts` keeps only the per-round sender/collision counters (O(rounds)
-/// memory). `Bounded` is the memory-capped mode for 10^6-node trials: a ring
-/// buffer holds the counters of the last `SimConfig::trace_window` rounds and
-/// everything older is folded into streamed aggregates, so memory is
-/// O(window) no matter how long the execution runs.
-///
-/// `Compressed` keeps the *complete* audit-grade history of `Full`, but
-/// delta/varint-encoded into one byte blob: sender and toucher node ids are
-/// stored as deltas off the previous id (both lists are ascending), reach
-/// lists as zigzag deltas, and silence receptions — the overwhelming
-/// majority at sparse densities — are omitted entirely because silence is
-/// the decode default. Decoding a round reproduces the `Full`-mode
-/// RoundRecord *exactly* (value-equal, pinned in tests), so audits consume
-/// either level transparently; memory scales with arrivals, not with
+/// Execution traces. `TraceLevel::Compressed` records, per round, the
+/// senders, each sender's realized reach (reliable + adversary-chosen
+/// unreliable), and the reception of every node — enough to replay and
+/// audit an execution — delta/varint-encoded into one byte blob: sender and
+/// toucher node ids are stored as deltas off the previous id (both lists are
+/// ascending), reach lists as zigzag deltas, and silence receptions — the
+/// overwhelming majority at sparse densities — are omitted entirely because
+/// silence is the decode default. Readers decode one round at a time into a
+/// scratch RoundRecord, so memory scales with arrivals, not with
 /// nodes x rounds, which is what lets audits run past 10^4 nodes inside the
-/// CI memory gate.
+/// CI memory gate. Per-round sender/collision counts live in
+/// obs::RoundTelemetry, not here.
 
 namespace dualrad {
 
-enum class TraceLevel : std::uint8_t { None, Counts, Full, Bounded, Compressed };
+enum class TraceLevel : std::uint8_t { None, Compressed };
 
 struct SenderRecord {
   NodeId node = kInvalidNode;
@@ -37,6 +30,8 @@ struct SenderRecord {
   /// Nodes this message reached (excluding the sender itself, which is always
   /// reached), reliable and unreliable combined.
   std::vector<NodeId> reached{};
+
+  friend bool operator==(const SenderRecord&, const SenderRecord&) = default;
 };
 
 struct RoundRecord {
@@ -46,92 +41,30 @@ struct RoundRecord {
   /// processes (async start, not yet activated) this is what they *would*
   /// have received; a Message reception is what activated them.
   std::vector<Reception> receptions{};
-};
 
-/// Streamed whole-execution aggregates, maintained in Bounded mode: O(1)
-/// memory regardless of execution length.
-struct TraceAggregates {
-  std::uint64_t total_sends = 0;
-  std::uint64_t total_collision_events = 0;
-  /// Busiest rounds (earliest round wins ties).
-  std::uint32_t max_senders = 0;
-  Round max_senders_round = 0;
-  std::uint32_t max_collisions = 0;
-  Round max_collisions_round = 0;
-
-  friend bool operator==(const TraceAggregates&,
-                         const TraceAggregates&) = default;
+  friend bool operator==(const RoundRecord&, const RoundRecord&) = default;
 };
 
 struct Trace {
   TraceLevel level = TraceLevel::None;
-  std::vector<RoundRecord> rounds{};
 
-  /// Round-indexed counts (filled at Counts and Full levels).
-  std::vector<std::uint32_t> senders_per_round{};
-  std::vector<std::uint32_t> collisions_per_round{};
-
-  /// Bounded mode: ring buffers over the last `window` rounds. Round r
-  /// (1-based) lives at index (r - 1) % window while
-  /// r > rounds_recorded - window; older rounds survive only in `agg`.
-  std::size_t window = 0;
-  Round rounds_recorded = 0;
-  std::vector<std::uint32_t> ring_senders{};
-  std::vector<std::uint32_t> ring_collisions{};
-  TraceAggregates agg{};
-
-  /// Fold one round's counters into the Bounded ring + aggregates. Both
-  /// engines record through this, so Bounded traces stay bit-identical
-  /// across them.
-  void record_bounded_round(Round round, std::uint32_t senders,
-                            std::uint32_t collisions) {
-    const auto slot = static_cast<std::size_t>(round - 1) % window;
-    ring_senders[slot] = senders;
-    ring_collisions[slot] = collisions;
-    rounds_recorded = round;
-    agg.total_sends += senders;
-    agg.total_collision_events += collisions;
-    if (senders > agg.max_senders) {
-      agg.max_senders = senders;
-      agg.max_senders_round = round;
-    }
-    if (collisions > agg.max_collisions) {
-      agg.max_collisions = collisions;
-      agg.max_collisions_round = round;
-    }
-  }
-
-  /// True iff round r's counters are still in the Bounded ring.
-  [[nodiscard]] bool in_window(Round r) const {
-    return window != 0 && r >= 1 && r <= rounds_recorded &&
-           r + static_cast<Round>(window) > rounds_recorded;
-  }
-  [[nodiscard]] std::uint32_t ring_senders_at(Round r) const {
-    DUALRAD_REQUIRE(in_window(r), "round not in the Bounded trace window");
-    return ring_senders[static_cast<std::size_t>(r - 1) % window];
-  }
-  [[nodiscard]] std::uint32_t ring_collisions_at(Round r) const {
-    DUALRAD_REQUIRE(in_window(r), "round not in the Bounded trace window");
-    return ring_collisions[static_cast<std::size_t>(r - 1) % window];
-  }
-
-  /// Compressed mode: delta/varint-encoded round records, one byte range per
-  /// round. `blob_offsets[i]` is where round i's encoding starts (its end is
-  /// the next offset, or blob.size() for the last round). Both engines build
-  /// the same scratch RoundRecord as Full mode and encode through
-  /// append_compressed, so the blob is bit-identical across engines and
-  /// thread counts.
+  /// Delta/varint-encoded round records, one byte range per round.
+  /// `blob_offsets[i]` is where round i's encoding starts (its end is the
+  /// next offset, or blob.size() for the last round). Every engine builds
+  /// the same scratch RoundRecord and encodes it through append_compressed,
+  /// so the blob is bit-identical across engines.
   std::vector<std::uint8_t> blob{};
   std::vector<std::uint64_t> blob_offsets{};
 
   [[nodiscard]] std::size_t compressed_rounds() const {
     return blob_offsets.size();
   }
-  /// Encode one round record onto the blob (Compressed mode).
+  /// Encode one round record onto the blob.
   void append_compressed(const RoundRecord& record);
   /// Decode round `index` (0-based) into `out`. `n` sizes out.receptions;
-  /// nodes without an encoded reception decode to silence. The result is
-  /// value-equal to the RoundRecord Full mode would have stored.
+  /// nodes without an encoded reception decode to silence. Throws
+  /// std::invalid_argument on a malformed blob, including any sender,
+  /// reach or reception id outside [0, n).
   void decode_compressed(std::size_t index, NodeId n, RoundRecord& out) const;
 };
 

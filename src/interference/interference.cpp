@@ -33,10 +33,6 @@ InterferenceResult run_interference_broadcast(const InterferenceNetwork& net,
 
   InterferenceResult result;
   result.first_token.assign(un, kNever);
-  // This engine targets the small dual-interference constructions of
-  // Lemma 1; it has no memory-capped mode.
-  DUALRAD_REQUIRE(config.trace != TraceLevel::Bounded,
-                  "interference engine does not support TraceLevel::Bounded");
   result.trace.level = config.trace;
 
   std::vector<std::unique_ptr<Process>> proc_at(un);
@@ -108,11 +104,9 @@ InterferenceResult run_interference_broadcast(const InterferenceNetwork& net,
       }
     }
 
-    std::uint32_t collision_events = 0;
     for (NodeId v = 0; v < n; ++v) {
       const auto uv = static_cast<std::size_t>(v);
       const int arrivals = arrival_count[uv];
-      if (arrivals >= 2) ++collision_events;
       Reception rec = Reception::silence();
       const auto single = [&]() -> Reception {
         // Exactly one message reached v; deliverable only if it came over a
@@ -161,12 +155,7 @@ InterferenceResult run_interference_broadcast(const InterferenceNetwork& net,
       }
     }
 
-    if (config.trace != TraceLevel::None) {
-      result.trace.senders_per_round.push_back(
-          static_cast<std::uint32_t>(senders.size()));
-      result.trace.collisions_per_round.push_back(collision_events);
-    }
-    if (config.trace == TraceLevel::Full) {
+    if (config.trace == TraceLevel::Compressed) {
       RoundRecord record;
       record.round = round;
       for (NodeId u : senders) {
@@ -176,7 +165,7 @@ InterferenceResult run_interference_broadcast(const InterferenceNetwork& net,
         record.senders.push_back(std::move(srec));
       }
       record.receptions.assign(receptions.begin(), receptions.end());
-      result.trace.rounds.push_back(std::move(record));
+      result.trace.append_compressed(record);
     }
 
     if (covered_count == n && !result.completed) {

@@ -29,10 +29,10 @@
 ///    RoundTelemetry; campaigns parallelize across trials, each trial with
 ///    its own object, so nothing here is shared or locked.
 ///
-/// Memory is bounded like TraceLevel::Bounded: per-round samples live in a
-/// ring of the last `window` rounds; everything older survives only in the
-/// running totals. The Perfetto exporter (obs/perfetto_writer.hpp) emits one
-/// slice per phase per ringed round plus counter tracks.
+/// Memory is O(window): per-round samples live in a ring of the last
+/// `window` rounds; everything older survives only in the running totals.
+/// The Perfetto exporter (obs/perfetto_writer.hpp) emits one slice per phase
+/// per ringed round plus counter tracks.
 
 namespace dualrad::obs {
 
@@ -95,7 +95,7 @@ struct RoundSample {
 /// all writes happen on the engine thread.
 class RoundTelemetry {
  public:
-  /// `window`: per-round sample ring capacity (like SimConfig::trace_window).
+  /// `window`: per-round sample ring capacity (rounds).
   explicit RoundTelemetry(std::size_t window = 4096);
 
   /// Reset and size per-execution state. Engines call this once per run.

@@ -15,10 +15,12 @@ LearnedTopology estimate_reliable_links(const DualGraph& net,
   // For each observed (sender, target) pair over G' edges, count delivery
   // opportunities (sender transmitted) vs actual deliveries.
   std::map<std::pair<NodeId, NodeId>, LinkEstimate> links;
+  RoundRecord record;
   for (const Trace& trace : traces) {
-    DUALRAD_REQUIRE(trace.level == TraceLevel::Full,
-                    "learning requires full traces");
-    for (const auto& record : trace.rounds) {
+    DUALRAD_REQUIRE(trace.level == TraceLevel::Compressed,
+                    "learning requires recorded traces");
+    for (std::size_t ri = 0; ri < trace.compressed_rounds(); ++ri) {
+      trace.decode_compressed(ri, net.node_count(), record);
       for (const auto& sender : record.senders) {
         for (NodeId v : net.g_prime().out_neighbors(sender.node)) {
           auto& est = links[{sender.node, v}];
@@ -77,7 +79,7 @@ RepeatedReport run_repeated_broadcast(const DualGraph& net,
     report.all_completed = report.all_completed && result.completed;
   }
 
-  // Learned strategy: training broadcasts with full traces, then TDMA.
+  // Learned strategy: traced training broadcasts, then TDMA.
   // The proc mapping must be stable across broadcasts for schedules over
   // process ids to make sense; pin the identity mapping.
   std::vector<ProcessId> identity(static_cast<std::size_t>(net.node_count()));
@@ -86,7 +88,7 @@ RepeatedReport run_repeated_broadcast(const DualGraph& net,
   for (int b = 0; b < options.training; ++b) {
     SimConfig config = options.config;
     config.seed = mix_seed(options.config.seed, 0x6C00 + static_cast<std::uint64_t>(b));
-    config.trace = TraceLevel::Full;
+    config.trace = TraceLevel::Compressed;
     FixedAssignmentAdversary pinned(identity, adversary);
     const SimResult result = run_broadcast(net, algorithm, pinned, config);
     report.learned_rounds.push_back(result.completed ? result.completion_round

@@ -16,7 +16,7 @@
 ///
 /// The pipeline:
 ///   1. run a few broadcasts with a topology-oblivious algorithm, recording
-///      full traces;
+///      their traces;
 ///   2. estimate the reliable subgraph ETX-style: an observed link whose
 ///      delivery never failed over enough samples is presumed reliable
 ///      (exactly the link-quality-assessment practice the introduction

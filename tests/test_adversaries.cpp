@@ -202,11 +202,12 @@ TEST(Theorem2Adversary, SingleCliqueSenderReachesOnlyClique) {
   config.rule = CollisionRule::CR1;
   config.start = StartRule::Synchronous;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const SimResult result = run_broadcast(net, factory, adversary, config);
+  const auto rounds = testing::decode_all(result.trace, net.node_count());
   // Receiver heard silence; clique nodes heard the message.
-  const auto& recs = result.trace.rounds[0].receptions;
+  const auto& recs = rounds[0].receptions;
   EXPECT_TRUE(recs[static_cast<std::size_t>(layout.receiver)].is_silence());
   EXPECT_TRUE(recs[0].is_message());
   EXPECT_TRUE(recs[static_cast<std::size_t>(layout.bridge)].is_message());
@@ -225,13 +226,12 @@ TEST(Theorem2Adversary, BridgeSoloReachesEveryone) {
   config.rule = CollisionRule::CR1;
   config.start = StartRule::Synchronous;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const SimResult result = run_broadcast(net, factory, adversary, config);
+  const auto rounds = testing::decode_all(result.trace, net.node_count());
   for (NodeId v = 0; v < n; ++v) {
-    EXPECT_TRUE(result.trace.rounds[0]
-                    .receptions[static_cast<std::size_t>(v)]
-                    .is_message())
+    EXPECT_TRUE(rounds[0].receptions[static_cast<std::size_t>(v)].is_message())
         << v;
   }
 }
@@ -248,13 +248,13 @@ TEST(Theorem2Adversary, MultiSenderGivesEveryoneCollision) {
   config.rule = CollisionRule::CR1;
   config.start = StartRule::Synchronous;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const SimResult result = run_broadcast(net, factory, adversary, config);
+  const auto rounds = testing::decode_all(result.trace, net.node_count());
   for (NodeId v = 0; v < n; ++v) {
-    EXPECT_TRUE(result.trace.rounds[0]
-                    .receptions[static_cast<std::size_t>(v)]
-                    .is_collision())
+    EXPECT_TRUE(
+        rounds[0].receptions[static_cast<std::size_t>(v)].is_collision())
         << v;
   }
 }
@@ -292,11 +292,12 @@ TEST(ScriptedAdversary, ReplaysReachChoices) {
   config.rule = CollisionRule::CR1;
   config.start = StartRule::Synchronous;
   config.max_rounds = 2;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const SimResult result = run_broadcast(net, factory, adversary, config);
-  EXPECT_TRUE(result.trace.rounds[0].receptions[2].is_message());  // scripted
-  EXPECT_TRUE(result.trace.rounds[1].receptions[2].is_silence());  // beyond
+  const auto rounds = testing::decode_all(result.trace, net.node_count());
+  EXPECT_TRUE(rounds[0].receptions[2].is_message());  // scripted
+  EXPECT_TRUE(rounds[1].receptions[2].is_silence());  // beyond
 }
 
 TEST(ScriptedAdversary, ForcesCr4Resolution) {
@@ -312,10 +313,11 @@ TEST(ScriptedAdversary, ForcesCr4Resolution) {
   config.rule = CollisionRule::CR4;
   config.start = StartRule::Synchronous;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const SimResult result = run_broadcast(net, factory, adversary, config);
-  const auto& rec = result.trace.rounds[0].receptions[2];
+  const auto rounds = testing::decode_all(result.trace, net.node_count());
+  const auto& rec = rounds[0].receptions[2];
   ASSERT_TRUE(rec.is_message());
   EXPECT_EQ(rec.message->origin, 1);
 }

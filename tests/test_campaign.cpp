@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
 
@@ -110,9 +111,11 @@ TEST(CampaignEngine, MasterSeedChangesRandomizedResults) {
 
 // Each trial must get a *fresh* adversary: one instance, one execution.
 TEST(CampaignEngine, AdversaryFactoryCalledOncePerTrial) {
+  // Bumped from the campaign's worker threads.
   struct Counters {
-    int constructed = 0;
-    int reused = 0;  // instances whose on_execution_start ran twice
+    std::atomic<int> constructed = 0;
+    /// Instances whose on_execution_start ran twice.
+    std::atomic<int> reused = 0;
   };
   struct CountingAdversary : BenignAdversary {
     explicit CountingAdversary(Counters* c) : counters(c) { ++c->constructed; }

@@ -5,11 +5,11 @@
 #include <string>
 
 #include "adversary/basic_adversaries.hpp"
-#include "algorithms/round_robin_bcast.hpp"
 #include "byz/plan.hpp"
 #include "core/simulator.hpp"
 #include "graph/dual_builders.hpp"
 #include "graph/generators.hpp"
+#include "obs/telemetry.hpp"
 #include "test_util.hpp"
 
 namespace dualrad {
@@ -30,14 +30,18 @@ SimConfig sync_config(CollisionRule rule, Round max_rounds = 16) {
   config.rule = rule;
   config.start = StartRule::Synchronous;
   config.max_rounds = max_rounds;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   return config;
 }
 
-const Reception& reception_of(const SimResult& result, Round round,
-                              NodeId node) {
-  return result.trace.rounds[static_cast<std::size_t>(round - 1)]
+std::vector<RoundRecord> rounds_of(const SimResult& result) {
+  return testing::decode_all(result.trace,
+                             static_cast<NodeId>(result.first_token.size()));
+}
+
+Reception reception_of(const SimResult& result, Round round, NodeId node) {
+  return rounds_of(result)[static_cast<std::size_t>(round - 1)]
       .receptions[static_cast<std::size_t>(node)];
 }
 
@@ -213,7 +217,7 @@ TEST(StartRules, CollisionDoesNotWakeAsleepProcess) {
   const SimResult result = run_broadcast(net, factory, adversary, config);
   EXPECT_TRUE(reception_of(result, 2, 2).is_collision());
   EXPECT_EQ(result.first_token[2], kNever);
-  EXPECT_TRUE(result.trace.rounds[2].senders.empty());
+  EXPECT_TRUE(rounds_of(result)[2].senders.empty());
 }
 
 TEST(StartRules, SynchronousEveryoneAwakeRoundOne) {
@@ -234,13 +238,15 @@ TEST(Simulator, SendAndCollisionCounters) {
   const DualGraph net = make_classical(std::move(g), 0);
   BenignAdversary adversary;
   const auto factory = scripted_factory({{0, {1, 2}}, {1, {1}}});
-  const SimResult result =
-      run_broadcast(net, factory, adversary, sync_config(CollisionRule::CR1, 2));
+  obs::RoundTelemetry telemetry(2);
+  SimConfig config = sync_config(CollisionRule::CR1, 2);
+  config.telemetry = &telemetry;
+  const SimResult result = run_broadcast(net, factory, adversary, config);
   EXPECT_EQ(result.total_sends, 3u);
   // Round 1: all three nodes see two arrivals each.
-  EXPECT_EQ(result.trace.collisions_per_round[0], 3u);
-  EXPECT_EQ(result.trace.senders_per_round[0], 2u);
-  EXPECT_EQ(result.trace.senders_per_round[1], 1u);
+  EXPECT_EQ(telemetry.sample_at(1).counters.collisions, 3u);
+  EXPECT_EQ(telemetry.sample_at(1).counters.senders, 2u);
+  EXPECT_EQ(telemetry.sample_at(2).counters.senders, 1u);
 }
 
 TEST(Simulator, CollisionEventsExcludeSendersUnderCR2ToCR4) {
@@ -254,10 +260,13 @@ TEST(Simulator, CollisionEventsExcludeSendersUnderCR2ToCR4) {
     const DualGraph net = make_classical(std::move(g), 0);
     BenignAdversary adversary;
     const auto factory = scripted_factory({{0, {1}}, {1, {1}}});
-    const SimResult result =
-        run_broadcast(net, factory, adversary, sync_config(rule, 1));
+    obs::RoundTelemetry telemetry(1);
+    SimConfig config = sync_config(rule, 1);
+    config.telemetry = &telemetry;
+    const SimResult result = run_broadcast(net, factory, adversary, config);
     EXPECT_EQ(result.total_collision_events, 1u) << to_string(rule);
-    EXPECT_EQ(result.trace.collisions_per_round[0], 1u) << to_string(rule);
+    EXPECT_EQ(telemetry.sample_at(1).counters.collisions, 1u)
+        << to_string(rule);
   }
 }
 
@@ -307,8 +316,9 @@ TEST(Simulator, TraceRecordsReachSets) {
   const auto factory = scripted_factory({{0, {1}}});
   const SimResult result =
       run_broadcast(net, factory, adversary, sync_config(CollisionRule::CR1, 1));
-  ASSERT_EQ(result.trace.rounds.size(), 1u);
-  const auto& senders = result.trace.rounds[0].senders;
+  const std::vector<RoundRecord> rounds = rounds_of(result);
+  ASSERT_EQ(rounds.size(), 1u);
+  const auto& senders = rounds[0].senders;
   ASSERT_EQ(senders.size(), 1u);
   EXPECT_EQ(senders[0].node, 0);
   // Reached node 1 (reliable) and node 2 (unreliable, fired).
@@ -324,41 +334,6 @@ TEST(Simulator, StopsAtMaxRounds) {
   EXPECT_EQ(result.rounds_executed, 5);
   EXPECT_FALSE(result.completed);
 }
-
-TEST(BoundedTrace, RejectsZeroWindow) {
-  const DualGraph net = make_classical(gen::path(3), 0);
-  BenignAdversary adversary;
-  SimConfig config;
-  config.trace = TraceLevel::Bounded;
-  config.trace_window = 0;
-  EXPECT_THROW(
-      run_broadcast(net, make_round_robin_factory(net.node_count()),
-                    adversary, config),
-      std::invalid_argument);
-}
-
-TEST(BoundedTrace, ShortExecutionFitsEntirelyInWindow) {
-  const DualGraph net = make_classical(gen::path(4), 0);
-  BenignAdversary adversary;
-  SimConfig config;
-  config.start = StartRule::Synchronous;
-  config.rule = CollisionRule::CR3;
-  config.trace = TraceLevel::Bounded;
-  config.trace_window = 64;
-  const SimResult result = run_broadcast(
-      net, make_round_robin_factory(net.node_count()), adversary, config);
-  ASSERT_TRUE(result.completed);
-  EXPECT_EQ(result.trace.rounds_recorded, result.rounds_executed);
-  std::uint64_t ring_sends = 0;
-  for (Round r = 1; r <= result.rounds_executed; ++r) {
-    ASSERT_TRUE(result.trace.in_window(r));
-    ring_sends += result.trace.ring_senders_at(r);
-  }
-  EXPECT_EQ(ring_sends, result.total_sends);
-  EXPECT_EQ(result.trace.agg.total_sends, result.total_sends);
-}
-
-// ---------------------------------------------------- token-source validation
 
 TEST(TokenSourceValidation, AcceptsDistinctInRangeSources) {
   EXPECT_NO_THROW(validate_token_sources(5, {0, 2, 4}));

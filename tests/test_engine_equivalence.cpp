@@ -30,6 +30,7 @@
 #include "graph/generators.hpp"
 #include "mac/bmmb.hpp"
 #include "obs/telemetry.hpp"
+#include "test_util.hpp"
 
 /// The sparse CSR engine (run_broadcast) must be *bit-identical* to the
 /// dense reference engine (run_broadcast_reference) — same SimResult down to
@@ -55,20 +56,16 @@ void expect_identical(const SimResult& a, const SimResult& b,
   EXPECT_EQ(a.total_collision_events, b.total_collision_events) << label;
   EXPECT_EQ(a.forged_tokens, b.forged_tokens) << label;
   EXPECT_EQ(a.trace.level, b.trace.level) << label;
-  EXPECT_EQ(a.trace.senders_per_round, b.trace.senders_per_round) << label;
-  EXPECT_EQ(a.trace.collisions_per_round, b.trace.collisions_per_round)
-      << label;
-  EXPECT_EQ(a.trace.window, b.trace.window) << label;
-  EXPECT_EQ(a.trace.rounds_recorded, b.trace.rounds_recorded) << label;
-  EXPECT_EQ(a.trace.ring_senders, b.trace.ring_senders) << label;
-  EXPECT_EQ(a.trace.ring_collisions, b.trace.ring_collisions) << label;
-  EXPECT_EQ(a.trace.agg, b.trace.agg) << label;
   EXPECT_EQ(a.trace.blob, b.trace.blob) << label;
   EXPECT_EQ(a.trace.blob_offsets, b.trace.blob_offsets) << label;
-  ASSERT_EQ(a.trace.rounds.size(), b.trace.rounds.size()) << label;
-  for (std::size_t r = 0; r < a.trace.rounds.size(); ++r) {
-    const RoundRecord& ra = a.trace.rounds[r];
-    const RoundRecord& rb = b.trace.rounds[r];
+  // Decoded round by round, so a divergence names its round.
+  const auto n = static_cast<NodeId>(a.first_token.size());
+  const std::vector<RoundRecord> rounds_a = testing::decode_all(a.trace, n);
+  const std::vector<RoundRecord> rounds_b = testing::decode_all(b.trace, n);
+  ASSERT_EQ(rounds_a.size(), rounds_b.size()) << label;
+  for (std::size_t r = 0; r < rounds_a.size(); ++r) {
+    const RoundRecord& ra = rounds_a[r];
+    const RoundRecord& rb = rounds_b[r];
     EXPECT_EQ(ra.round, rb.round) << label;
     EXPECT_EQ(ra.receptions, rb.receptions) << label << " round " << ra.round;
     ASSERT_EQ(ra.senders.size(), rb.senders.size())
@@ -138,8 +135,8 @@ ProcessFactory cms_algo(const DualGraph& net) {
 
 TEST(EngineEquivalence, RandomSmallScenarios) {
   // Sweep: every collision rule x start rule, cycling through algorithms,
-  // adversaries, and randomized small dual networks (n <= 64). Full traces,
-  // so divergence anywhere in delivery, reception, or accounting is caught.
+  // adversaries, and randomized small dual networks (n <= 64). Traced, so
+  // divergence anywhere in delivery, reception, or accounting is caught.
   const std::vector<std::pair<const char*, AlgorithmFactory>> algorithms = {
       {"decay", decay_algo},
       {"harmonic", harmonic_algo},
@@ -187,7 +184,7 @@ TEST(EngineEquivalence, RandomSmallScenarios) {
         config.start = start;
         config.max_rounds = 30'000;
         config.seed = mix_seed(1234, combo);
-        config.trace = TraceLevel::Full;
+        config.trace = TraceLevel::Compressed;
         run_both(net, algo(net), adversary, config,
                  std::string(algo_name) + "/" + net_name + "/" + adv_name +
                      "/" + to_string(rule) + "/" + to_string(start));
@@ -210,7 +207,7 @@ TEST(EngineEquivalence, MultiTokenExecutions) {
         config.start = start;
         config.max_rounds = 200'000;
         config.seed = mix_seed(77, static_cast<std::uint64_t>(k));
-        config.trace = TraceLevel::Counts;
+        config.trace = TraceLevel::Compressed;
         config.token_sources = mac::spread_token_sources(*net, k);
         run_both(*net, mac::make_bmmb_factory(net->node_count()),
                  campaign::make_seeded_adversary_factory<BernoulliAdversary>(0.3),
@@ -247,7 +244,7 @@ TEST(EngineEquivalence, ProofRuleAndScriptedAdversaries) {
     config.start = StartRule::Synchronous;
     config.max_rounds = 5'000;
     config.seed = 31;
-    config.trace = TraceLevel::Full;
+    config.trace = TraceLevel::Compressed;
     run_both(net, make_harmonic_factory(n, {.eps = 0.2}),
              [n](std::uint64_t) { return std::make_unique<PinnedTheorem2>(n); },
              config, "theorem2/bridge");
@@ -273,7 +270,7 @@ TEST(EngineEquivalence, ProofRuleAndScriptedAdversaries) {
     config.start = StartRule::Asynchronous;
     config.max_rounds = 20'000;
     config.seed = 77;
-    config.trace = TraceLevel::Full;
+    config.trace = TraceLevel::Compressed;
     run_both(net, make_decay_factory(net.node_count()),
              [&script](std::uint64_t) {
                return std::make_unique<ScriptedAdversary>(script);
@@ -289,72 +286,10 @@ TEST(EngineEquivalence, StopOnCompletionOffMatchesToo) {
   config.max_rounds = 2'000;
   config.stop_on_completion = false;
   config.seed = 5;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   run_both(net, make_decay_factory(net.node_count()),
            campaign::make_adversary_factory<BenignAdversary>(), config,
            "decay/no-stop");
-}
-
-TEST(EngineEquivalence, BoundedTraceMatchesAndFoldsCounts) {
-  // Bounded mode must agree between engines (run_both),
-  // and its ring + aggregates must be exactly the tail + fold of what
-  // Counts mode records for the same execution.
-  const DualGraph net = duals::layered_sparse(
-      {.layers = 10, .width = 8, .fwd_degree = 2, .unreliable_degree = 1,
-       .seed = 21});
-  SimConfig config;
-  config.rule = CollisionRule::CR3;
-  config.max_rounds = 50'000;
-  config.seed = 99;
-  config.trace = TraceLevel::Bounded;
-  config.trace_window = 16;
-  const auto factory = make_decay_factory(net.node_count());
-  const auto adversary =
-      campaign::make_seeded_adversary_factory<BernoulliAdversary>(0.4);
-  run_both(net, factory, adversary, config, "decay/bounded");
-
-  const auto adv_bounded = adversary(mix_seed(config.seed, 0xAD));
-  const SimResult bounded = run_broadcast(net, factory, *adv_bounded, config);
-  SimConfig counts_config = config;
-  counts_config.trace = TraceLevel::Counts;
-  const auto adv_counts = adversary(mix_seed(config.seed, 0xAD));
-  const SimResult counts =
-      run_broadcast(net, factory, *adv_counts, counts_config);
-
-  const auto rounds = static_cast<Round>(counts.trace.senders_per_round.size());
-  ASSERT_GT(rounds, static_cast<Round>(config.trace_window))
-      << "execution too short to wrap the ring";
-  EXPECT_EQ(bounded.trace.rounds_recorded, rounds);
-  EXPECT_EQ(bounded.trace.window, config.trace_window);
-  std::uint64_t sends = 0, collisions = 0;
-  std::uint32_t max_senders = 0;
-  for (Round r = 1; r <= rounds; ++r) {
-    const auto s = counts.trace.senders_per_round[static_cast<std::size_t>(r - 1)];
-    sends += s;
-    collisions +=
-        counts.trace.collisions_per_round[static_cast<std::size_t>(r - 1)];
-    max_senders = std::max(max_senders, s);
-    if (bounded.trace.in_window(r)) {
-      EXPECT_EQ(bounded.trace.ring_senders_at(r), s) << "round " << r;
-      EXPECT_EQ(
-          bounded.trace.ring_collisions_at(r),
-          counts.trace.collisions_per_round[static_cast<std::size_t>(r - 1)])
-          << "round " << r;
-    }
-  }
-  EXPECT_FALSE(bounded.trace.in_window(0));
-  EXPECT_FALSE(bounded.trace.in_window(rounds - static_cast<Round>(config.trace_window)));
-  EXPECT_TRUE(bounded.trace.in_window(rounds));
-  EXPECT_EQ(bounded.trace.agg.total_sends, sends);
-  EXPECT_EQ(bounded.trace.agg.total_sends, bounded.total_sends);
-  EXPECT_EQ(bounded.trace.agg.total_collision_events, collisions);
-  EXPECT_EQ(bounded.trace.agg.max_senders, max_senders);
-  EXPECT_EQ(counts.trace.senders_per_round[static_cast<std::size_t>(
-                bounded.trace.agg.max_senders_round - 1)],
-            max_senders);
-  // Bounded mode allocates no per-round vectors.
-  EXPECT_TRUE(bounded.trace.senders_per_round.empty());
-  EXPECT_TRUE(bounded.trace.rounds.empty());
 }
 
 TEST(EngineEquivalence, BuiltinCampaignGridIsBitIdentical) {
@@ -424,7 +359,7 @@ TEST(EngineEquivalence, ByzantineExecutionsAreBitIdentical) {
       config.start = StartRule::Asynchronous;
       config.max_rounds = 20'000;
       config.seed = mix_seed(4711, static_cast<std::uint64_t>(behavior));
-      config.trace = TraceLevel::Full;
+      config.trace = TraceLevel::Compressed;
       config.byzantine = &plan;
       const std::string tag = (net == &layered ? "layered" : "grayzone");
       const std::string mode =
@@ -468,7 +403,7 @@ TEST(EngineEquivalence, ByzCampaignExportsAreThreadInvariant) {
 TEST(EngineEquivalence, TelemetryDoesNotPerturbResults) {
   // The telemetry layer is strictly out-of-band: attaching an
   // obs::RoundTelemetry must leave the SimResult bit-identical — both
-  // engines, with a full trace so any perturbation anywhere in delivery or
+  // engines, with a trace so any perturbation anywhere in delivery or
   // accounting would surface.
   const DualGraph net = duals::gray_zone({.n = 40, .seed = 9});
   const ProcessFactory factory = make_decay_factory(net.node_count());
@@ -480,7 +415,7 @@ TEST(EngineEquivalence, TelemetryDoesNotPerturbResults) {
     config.start = StartRule::Asynchronous;
     config.max_rounds = 30'000;
     config.seed = 4242;
-    config.trace = TraceLevel::Full;
+    config.trace = TraceLevel::Compressed;
     const auto adv_off = adversary(mix_seed(config.seed, 0xAD));
     const SimResult off = run_broadcast(net, factory, *adv_off, config);
 
@@ -623,7 +558,7 @@ TEST(EngineEquivalence, ScrambledCalendarOrderPollsInNodeOrder) {
         config.start = start;
         config.max_rounds = 400;
         config.seed = mix_seed(77, static_cast<std::uint64_t>(start));
-        config.trace = TraceLevel::Full;
+        config.trace = TraceLevel::Compressed;
         if (byzantine) config.byzantine = &plan;
         const std::string label =
             "scrambled/" + tag + (byzantine ? "/forge" : "") +
@@ -660,56 +595,6 @@ TEST(EngineEquivalence, ScrambledCalendarOrderPollsInNodeOrder) {
         expect_identical(results[0], results[1], label);
       }
     }
-  }
-}
-
-TEST(EngineEquivalence, CompressedTraceDecodesToFullTrace) {
-  // TraceLevel::Compressed must store the exact same per-round records as
-  // Full, only delta/varint-encoded: decoding round i yields a value-equal
-  // RoundRecord, and the encoded blob is bit-identical across engines
-  // (expect_identical covers the blob on the compressed runs).
-  const DualGraph net = duals::gray_zone({.n = 40, .seed = 9});
-  const ProcessFactory factory = make_decay_factory(net.node_count());
-  const auto adversary =
-      campaign::make_seeded_adversary_factory<BernoulliAdversary>(0.4);
-  for (const CollisionRule rule :
-       {CollisionRule::CR1, CollisionRule::CR2, CollisionRule::CR4}) {
-    SimConfig config;
-    config.rule = rule;
-    config.start = StartRule::Asynchronous;
-    config.max_rounds = 30'000;
-    config.seed = 99;
-    config.trace = TraceLevel::Full;
-    const auto adv_full = adversary(mix_seed(config.seed, 0xAD));
-    const SimResult full = run_broadcast(net, factory, *adv_full, config);
-
-    config.trace = TraceLevel::Compressed;
-    const auto adv_comp = adversary(mix_seed(config.seed, 0xAD));
-    const SimResult compressed = run_broadcast(net, factory, *adv_comp, config);
-    const std::string label = "compressed/" + std::string(to_string(rule));
-
-    EXPECT_TRUE(compressed.trace.rounds.empty()) << label;
-    ASSERT_EQ(compressed.trace.compressed_rounds(), full.trace.rounds.size())
-        << label;
-    RoundRecord decoded;
-    for (std::size_t i = 0; i < full.trace.rounds.size(); ++i) {
-      compressed.trace.decode_compressed(i, net.node_count(), decoded);
-      const RoundRecord& want = full.trace.rounds[i];
-      EXPECT_EQ(decoded.round, want.round) << label;
-      EXPECT_EQ(decoded.receptions, want.receptions) << label;
-      ASSERT_EQ(decoded.senders.size(), want.senders.size()) << label;
-      for (std::size_t s = 0; s < want.senders.size(); ++s) {
-        EXPECT_EQ(decoded.senders[s].node, want.senders[s].node) << label;
-        EXPECT_EQ(decoded.senders[s].message, want.senders[s].message) << label;
-        EXPECT_EQ(decoded.senders[s].reached, want.senders[s].reached) << label;
-      }
-    }
-    // Compressed counts mirror Full's per-round counters.
-    EXPECT_EQ(compressed.trace.senders_per_round, full.trace.senders_per_round)
-        << label;
-
-    // Cross-engine: blobs bit-identical.
-    run_both(net, factory, adversary, config, label);
   }
 }
 

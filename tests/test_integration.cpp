@@ -15,6 +15,8 @@
 #include "graph/dual_builders.hpp"
 #include "graph/generators.hpp"
 #include "lowerbound/theorem11_network.hpp"
+#include "obs/telemetry.hpp"
+#include "test_util.hpp"
 
 namespace dualrad {
 namespace {
@@ -51,12 +53,13 @@ class FuzzAdversary : public Adversary {
   StreamRng rng_;
 };
 
-/// Audit a full trace against the model's delivery rules.
+/// Audit a trace against the model's delivery rules.
 void audit_trace(const DualGraph& net, const SimResult& result) {
   std::vector<Round> token_seen(static_cast<std::size_t>(net.node_count()),
                                 kNever);
   token_seen[static_cast<std::size_t>(net.source())] = 0;
-  for (const auto& record : result.trace.rounds) {
+  for (const auto& record :
+       testing::decode_all(result.trace, net.node_count())) {
     for (const auto& sender : record.senders) {
       // Every reached node is a G'-out-neighbor...
       std::set<NodeId> reached(sender.reached.begin(), sender.reached.end());
@@ -115,7 +118,7 @@ TEST_P(FuzzSweep, TraceInvariantsHoldUnderErraticAdversary) {
     config.start = StartRule::Asynchronous;
     config.max_rounds = 500'000;
     config.seed = seed;
-    config.trace = TraceLevel::Full;
+    config.trace = TraceLevel::Compressed;
     const ProcessFactory factory =
         make_harmonic_factory(net.node_count(), {.T = 8});
     const SimResult result = run_broadcast(net, factory, adversary, config);
@@ -132,7 +135,7 @@ TEST(Integration, StrongSelectTraceAudit) {
   GreedyBlockerAdversary adversary;
   SimConfig config;
   config.max_rounds = 500'000;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   const SimResult result = run_broadcast(
       net, make_strong_select_factory(net.node_count()), adversary, config);
   ASSERT_TRUE(result.completed);
@@ -220,17 +223,18 @@ TEST(Integration, StrongSelectTerminationBound) {
   GreedyBlockerAdversary adversary;
   SimConfig config;
   config.max_rounds = schedule->done_round_bound(2'000) + 2'000;
-  config.trace = TraceLevel::Counts;
   config.stop_on_completion = false;
+  obs::RoundTelemetry telemetry(static_cast<std::size_t>(config.max_rounds));
+  config.telemetry = &telemetry;
   const SimResult result = run_broadcast(net, make_strong_select_factory(16),
                                          adversary, config);
   ASSERT_TRUE(result.completed);
+  ASSERT_EQ(telemetry.rounds_recorded(), result.rounds_executed);
   Round last_token = 0;
   for (Round r : result.first_token) last_token = std::max(last_token, r);
   const Round horizon = schedule->done_round_bound(last_token);
-  for (std::size_t r = static_cast<std::size_t>(horizon);
-       r < result.trace.senders_per_round.size(); ++r) {
-    EXPECT_EQ(result.trace.senders_per_round[r], 0u) << "round " << (r + 1);
+  for (Round r = horizon + 1; r <= result.rounds_executed; ++r) {
+    EXPECT_EQ(telemetry.sample_at(r).counters.senders, 0u) << "round " << r;
   }
 }
 

@@ -41,10 +41,11 @@ TEST(InterferenceModel, MessagesOnlyConveyOverGt) {
   InterferenceConfig config;
   config.rule = CollisionRule::CR1;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const auto result = run_interference_broadcast(net, factory, config);
-  const auto& recs = result.trace.rounds[0].receptions;
+  const auto rounds = testing::decode_all(result.trace, net.node_count());
+  const auto& recs = rounds[0].receptions;
   EXPECT_TRUE(recs[1].has_token());
   EXPECT_TRUE(recs[2].is_silence());
 }
@@ -57,10 +58,11 @@ TEST(InterferenceModel, GiOnlyEdgeStillCollides) {
   InterferenceConfig config;
   config.rule = CollisionRule::CR1;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const auto result = run_interference_broadcast(net, factory, config);
-  EXPECT_TRUE(result.trace.rounds[0].receptions[2].is_collision());
+  const auto rounds = testing::decode_all(result.trace, net.node_count());
+  EXPECT_TRUE(rounds[0].receptions[2].is_collision());
 }
 
 TEST(InterferenceModel, CompletesWithClassicalGraphs) {
@@ -139,7 +141,7 @@ TEST_P(Lemma1Equivalence, DualSimulationMatchesRoundByRound) {
   iconfig.rule = param.rule;
   iconfig.start = param.start;
   iconfig.max_rounds = horizon;
-  iconfig.trace = TraceLevel::Full;
+  iconfig.trace = TraceLevel::Compressed;
   iconfig.seed = 11;
   const InterferenceResult iresult =
       run_interference_broadcast(inet, factory, iconfig);
@@ -150,7 +152,7 @@ TEST_P(Lemma1Equivalence, DualSimulationMatchesRoundByRound) {
   dconfig.rule = param.rule;
   dconfig.start = param.start;
   dconfig.max_rounds = horizon;
-  dconfig.trace = TraceLevel::Full;
+  dconfig.trace = TraceLevel::Compressed;
   dconfig.seed = 11;
   const SimResult dresult = run_broadcast(dual, factory, adversary, dconfig);
 
@@ -158,10 +160,12 @@ TEST_P(Lemma1Equivalence, DualSimulationMatchesRoundByRound) {
   // same completion round.
   EXPECT_EQ(iresult.completed, dresult.completed);
   EXPECT_EQ(iresult.completion_round, dresult.completion_round);
-  ASSERT_EQ(iresult.trace.rounds.size(), dresult.trace.rounds.size());
-  for (std::size_t r = 0; r < iresult.trace.rounds.size(); ++r) {
-    const auto& irecs = iresult.trace.rounds[r].receptions;
-    const auto& drecs = dresult.trace.rounds[r].receptions;
+  const auto irounds = testing::decode_all(iresult.trace, n);
+  const auto drounds = testing::decode_all(dresult.trace, n);
+  ASSERT_EQ(irounds.size(), drounds.size());
+  for (std::size_t r = 0; r < irounds.size(); ++r) {
+    const auto& irecs = irounds[r].receptions;
+    const auto& drecs = drounds[r].receptions;
     ASSERT_EQ(irecs.size(), drecs.size());
     for (std::size_t v = 0; v < irecs.size(); ++v) {
       EXPECT_EQ(irecs[v], drecs[v])

@@ -94,10 +94,11 @@ TEST(InterferenceEdges, Cr2SenderHearsOwnDespiteInterference) {
   InterferenceConfig config;
   config.rule = CollisionRule::CR2;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const auto result = run_interference_broadcast(net, factory, config);
-  const auto& recs = result.trace.rounds[0].receptions;
+  const auto rounds = testing::decode_all(result.trace, net.node_count());
+  const auto& recs = rounds[0].receptions;
   ASSERT_TRUE(recs[0].is_message());
   EXPECT_EQ(recs[0].message->origin, 0);
   ASSERT_TRUE(recs[2].is_message());
@@ -115,10 +116,11 @@ TEST(InterferenceEdges, Cr3CollisionMasksAsSilence) {
   InterferenceConfig config;
   config.rule = CollisionRule::CR3;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const auto result = run_interference_broadcast(net, factory, config);
-  EXPECT_TRUE(result.trace.rounds[0].receptions[1].is_silence());
+  const auto rounds = testing::decode_all(result.trace, net.node_count());
+  EXPECT_TRUE(rounds[0].receptions[1].is_silence());
 }
 
 TEST(InterferenceEdges, AsyncStartWakesOnGtDeliveryOnly) {
@@ -133,11 +135,12 @@ TEST(InterferenceEdges, AsyncStartWakesOnGtDeliveryOnly) {
   config.rule = CollisionRule::CR1;
   config.start = StartRule::Asynchronous;
   config.max_rounds = 3;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const auto result = run_interference_broadcast(net, factory, config);
+  const auto rounds = testing::decode_all(result.trace, net.node_count());
   // Round 2: node 2 is still asleep, so its scripted send cannot happen.
-  EXPECT_TRUE(result.trace.rounds[1].senders.empty());
+  EXPECT_TRUE(rounds[1].senders.empty());
 }
 
 TEST(ModelEdges, StrongSelectSourceBroadcastsEventually) {

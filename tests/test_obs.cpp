@@ -8,6 +8,7 @@
 #include "adversary/basic_adversaries.hpp"
 #include "algorithms/decay.hpp"
 #include "campaign/engine.hpp"
+#include "core/reference_engine.hpp"
 #include "core/rng.hpp"
 #include "core/simulator.hpp"
 #include "graph/dual_builders.hpp"
@@ -65,29 +66,58 @@ TEST(Telemetry, CountersMatchSimResultAggregates) {
   // On randomized grid workloads the counter registry must reproduce the
   // engine's own aggregates exactly: senders == total_sends, collisions ==
   // total_collision_events, rounds == rounds_executed, and the coverage
-  // delta total == covered nodes minus the round-0 source.
-  for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    const DualGraph net = duals::gray_zone({.n = 48, .seed = 7});
-    SimConfig config;
-    config.rule = CollisionRule::CR2;
-    config.start = StartRule::Asynchronous;
-    config.max_rounds = 30'000;
-    config.seed = seed;
-    obs::RoundTelemetry telemetry(16);
-    const SimResult result = run_decay(net, config, &telemetry);
-    ASSERT_TRUE(result.completed);
+  // delta total == covered nodes minus the round-0 source. The reference
+  // engine, under every collision rule, must record the same per-round
+  // senders, collisions, deliveries and coverage deltas sample by sample.
+  const DualGraph net = duals::gray_zone({.n = 48, .seed = 7});
+  for (const CollisionRule rule : {CollisionRule::CR1, CollisionRule::CR2,
+                                   CollisionRule::CR3, CollisionRule::CR4}) {
+    for (const std::uint64_t seed : {11u, 12u, 13u}) {
+      SimConfig config;
+      config.rule = rule;
+      config.start = StartRule::Asynchronous;
+      config.max_rounds = 30'000;
+      config.seed = seed;
+      const std::string label =
+          std::string(to_string(rule)) + "/seed " + std::to_string(seed);
+      obs::RoundTelemetry telemetry(4096);
+      const SimResult result = run_decay(net, config, &telemetry);
+      ASSERT_TRUE(result.completed) << label;
 
-    EXPECT_EQ(telemetry.rounds_recorded(), result.rounds_executed);
-    EXPECT_EQ(telemetry.totals().senders, result.total_sends);
-    EXPECT_EQ(telemetry.totals().collisions, result.total_collision_events);
-    std::uint64_t covered = 0;
-    for (const Round r : result.first_token) covered += (r != kNever) ? 1 : 0;
-    EXPECT_EQ(telemetry.totals().newly_covered, covered - 1);  // minus source
-    // Deliveries bound the senders from below (each sender deposits at least
-    // its self-arrival) and polled bounds senders.
-    EXPECT_GE(telemetry.totals().deliveries, telemetry.totals().senders);
-    EXPECT_GE(telemetry.totals().polled, telemetry.totals().senders);
-    EXPECT_GT(telemetry.totals().replans, 0u);
+      EXPECT_EQ(telemetry.rounds_recorded(), result.rounds_executed) << label;
+      EXPECT_EQ(telemetry.totals().senders, result.total_sends) << label;
+      EXPECT_EQ(telemetry.totals().collisions, result.total_collision_events)
+          << label;
+      std::uint64_t covered = 0;
+      for (const Round r : result.first_token) covered += (r != kNever) ? 1 : 0;
+      // Minus the source.
+      EXPECT_EQ(telemetry.totals().newly_covered, covered - 1) << label;
+      // Deliveries bound the senders from below (each sender deposits at
+      // least its self-arrival) and polled bounds senders.
+      EXPECT_GE(telemetry.totals().deliveries, telemetry.totals().senders)
+          << label;
+      EXPECT_GE(telemetry.totals().polled, telemetry.totals().senders)
+          << label;
+      EXPECT_GT(telemetry.totals().replans, 0u) << label;
+
+      obs::RoundTelemetry ref_telemetry(telemetry.window());
+      config.telemetry = &ref_telemetry;
+      BernoulliAdversary adversary(0.5, mix_seed(config.seed, 0xAD));
+      const SimResult ref = run_broadcast_reference(
+          net, make_decay_factory(net.node_count()), adversary, config);
+      ASSERT_EQ(ref_telemetry.rounds_recorded(), result.rounds_executed)
+          << label;
+      ASSERT_TRUE(telemetry.in_window(1)) << label << ": window too small";
+      for (Round r = 1; r <= result.rounds_executed; ++r) {
+        const obs::RoundCounters& want = telemetry.sample_at(r).counters;
+        const obs::RoundCounters& got = ref_telemetry.sample_at(r).counters;
+        EXPECT_EQ(got.senders, want.senders) << label << " round " << r;
+        EXPECT_EQ(got.collisions, want.collisions) << label << " round " << r;
+        EXPECT_EQ(got.deliveries, want.deliveries) << label << " round " << r;
+        EXPECT_EQ(got.newly_covered, want.newly_covered)
+            << label << " round " << r;
+      }
+    }
   }
 }
 

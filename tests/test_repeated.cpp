@@ -104,7 +104,7 @@ TEST(LinkEstimation, RecoversReliableGraphUnderBernoulli) {
     BernoulliAdversary adversary(0.25, 77 + seed);
     SimConfig config;
     config.max_rounds = 1'000'000;
-    config.trace = TraceLevel::Full;
+    config.trace = TraceLevel::Compressed;
     config.seed = seed;
     const SimResult result = run_broadcast(
         net, make_harmonic_factory(net.node_count()), adversary, config);
@@ -133,7 +133,7 @@ TEST(LinkEstimation, FullInterferenceMakesEverythingLookReliable) {
   // over the unreliable links.
   config.max_rounds = 50;
   config.stop_on_completion = false;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   const SimResult result = run_broadcast(
       net, make_harmonic_factory(net.node_count()), adversary, config);
   ASSERT_TRUE(result.completed);

@@ -6,8 +6,9 @@
 
 #include "algorithms/broadcast_algorithm.hpp"
 #include "core/process.hpp"
+#include "core/trace.hpp"
 
-/// Test helpers: tiny controllable processes.
+/// Test helpers: tiny controllable processes, and whole-trace decode/encode.
 
 namespace dualrad::testing {
 
@@ -70,6 +71,24 @@ inline ProcessFactory scripted_factory(
     return std::make_unique<Recorder>(
         id, id == recorded_id ? recorder_sink : nullptr);
   };
+}
+
+/// Every round of a recorded trace, decoded (n = the execution's node
+/// count).
+inline std::vector<RoundRecord> decode_all(const Trace& trace, NodeId n) {
+  std::vector<RoundRecord> rounds(trace.compressed_rounds());
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    trace.decode_compressed(i, n, rounds[i]);
+  }
+  return rounds;
+}
+
+/// A recorded trace of `rounds` — how tamper tests write edited rounds back.
+inline Trace encode_all(const std::vector<RoundRecord>& rounds) {
+  Trace trace;
+  trace.level = TraceLevel::Compressed;
+  for (const RoundRecord& record : rounds) trace.append_compressed(record);
+  return trace;
 }
 
 }  // namespace dualrad::testing

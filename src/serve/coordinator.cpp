@@ -11,10 +11,6 @@ namespace dualrad::serve {
 
 Coordinator::Coordinator(Config config) : config_(std::move(config)) {
   DUALRAD_REQUIRE(config_.lease_secs > 0.0, "lease_secs must be positive");
-  DUALRAD_REQUIRE(config_.lease_slack >= 1.0, "lease_slack must be >= 1");
-  DUALRAD_REQUIRE(config_.lease_floor_secs > 0.0 &&
-                      config_.lease_floor_secs <= config_.lease_ceil_secs,
-                  "lease floor/ceil must satisfy 0 < floor <= ceil");
 }
 
 void Coordinator::configure_campaign(std::uint64_t master_seed,
@@ -73,7 +69,6 @@ void Coordinator::load_campaign(
   committed_ = 0;
   resumed_ = 0;
   lease_expiries_ = 0;
-  speculative_ = 0;
   journal_errors_ = 0;
   journal_error_.clear();
   journal_syncs_ = 0;
@@ -172,7 +167,7 @@ bool Coordinator::settled_locked() const {
 }
 
 double Coordinator::lease_window_secs_locked() const {
-  if (!config_.adaptive_lease || unit_secs_.size() < config_.lease_observations) {
+  if (unit_secs_.size() < kLeaseObservations) {
     return config_.lease_secs;
   }
   // p90 of observed unit wall times, times slack: long enough that an honest
@@ -184,8 +179,7 @@ double Coordinator::lease_window_secs_locked() const {
   std::nth_element(secs.begin(),
                    secs.begin() + static_cast<std::ptrdiff_t>(idx), secs.end());
   const double p90 = secs[idx];
-  return std::clamp(p90 * config_.lease_slack, config_.lease_floor_secs,
-                    config_.lease_ceil_secs);
+  return std::clamp(p90 * kLeaseSlack, kLeaseFloorSecs, kLeaseCeilSecs);
 }
 
 void Coordinator::sweep_expired_leases_locked() {
@@ -197,7 +191,6 @@ void Coordinator::sweep_expired_leases_locked() {
     // committed; a later worker re-running them dedupes byte-wise.
     ++lease_expiries_;
     ++unit.expiries;
-    unit.speculated = false;
     if (config_.max_unit_expiries != 0 &&
         unit.expiries >= config_.max_unit_expiries) {
       // Poison quarantine: this unit has now killed (or outlived) N leases.
@@ -230,12 +223,11 @@ std::optional<JobSpec> Coordinator::lease(const std::string& worker,
       return std::nullopt;
     }
     // Long-poll: sleep until the next moment something can become leasable
-    // (a lease deadline or speculation point), or a notify (load, settle,
-    // wake_waiters). `until` is finite, so the wait is bounded.
+    // (a lease deadline), or a notify (load, settle, wake_waiters). `until`
+    // is finite, so the wait is bounded.
     const auto now = std::chrono::steady_clock::now();
     if (now >= until) return std::nullopt;
-    changed_cv_.wait_until(lock,
-                           std::min(until, next_lease_event_locked(worker)));
+    changed_cv_.wait_until(lock, std::min(until, next_lease_event_locked()));
   }
 }
 
@@ -244,16 +236,12 @@ void Coordinator::wake_waiters() {
   changed_cv_.notify_all();
 }
 
-std::chrono::steady_clock::time_point Coordinator::next_lease_event_locked(
-    const std::string& worker) const {
+std::chrono::steady_clock::time_point Coordinator::next_lease_event_locked()
+    const {
   auto next = std::chrono::steady_clock::time_point::max();
   for (const Unit& unit : units_) {
-    if (unit.state != UnitState::Leased) continue;
-    next = std::min(next, unit.lease_deadline);
-    if (config_.speculative_redispatch && !unit.speculated &&
-        unit.worker != worker) {
-      next = std::min(next, unit.lease_start +
-                                (unit.lease_deadline - unit.lease_start) / 2);
+    if (unit.state == UnitState::Leased) {
+      next = std::min(next, unit.lease_deadline);
     }
   }
   return next;
@@ -261,12 +249,15 @@ std::chrono::steady_clock::time_point Coordinator::next_lease_event_locked(
 
 std::optional<JobSpec> Coordinator::try_lease_locked(const std::string& worker) {
   const auto now = std::chrono::steady_clock::now();
-  const auto window = std::chrono::microseconds(
-      static_cast<std::int64_t>(lease_window_secs_locked() * 1e6));
-  const auto make_job = [&](std::size_t ui, Unit& unit) {
+  for (std::size_t ui = 0; ui < units_.size(); ++ui) {
+    Unit& unit = units_[ui];
+    if (unit.state != UnitState::Pending) continue;
+    unit.state = UnitState::Leased;
     unit.worker = worker;
     unit.lease_start = now;
-    unit.lease_deadline = now + window;
+    unit.lease_deadline =
+        now + std::chrono::microseconds(static_cast<std::int64_t>(
+                  lease_window_secs_locked() * 1e6));
     JobSpec job;
     job.unit = ui;
     job.scenario = scenarios_[unit.scenario].name;
@@ -275,40 +266,8 @@ std::optional<JobSpec> Coordinator::try_lease_locked(const std::string& worker) 
     job.master_seed = config_.master_seed;
     job.collect_telemetry = config_.collect_telemetry;
     return job;
-  };
-  for (std::size_t ui = 0; ui < units_.size(); ++ui) {
-    Unit& unit = units_[ui];
-    if (unit.state != UnitState::Pending) continue;
-    unit.state = UnitState::Leased;
-    return make_job(ui, unit);
   }
-  if (!config_.speculative_redispatch) return std::nullopt;
-  // Straggler speculation: nothing is pending but the campaign isn't done,
-  // so this worker would otherwise idle while the tail unit finishes (or
-  // times out). Hand it a second copy of the leased unit that has been out
-  // the longest past half its window — row dedup makes the duplicate
-  // execution safe, and whichever copy seals first wins. At most
-  // one speculative copy per lease term, and never to the holder itself.
-  std::size_t best = units_.size();
-  for (std::size_t ui = 0; ui < units_.size(); ++ui) {
-    Unit& unit = units_[ui];
-    if (unit.state != UnitState::Leased || unit.speculated) continue;
-    if (unit.worker == worker) continue;
-    const auto elapsed = now - unit.lease_start;
-    if (elapsed * 2 < unit.lease_deadline - unit.lease_start) continue;
-    if (best == units_.size() ||
-        units_[best].lease_start > unit.lease_start) {
-      best = ui;
-    }
-  }
-  if (best == units_.size()) return std::nullopt;
-  Unit& unit = units_[best];
-  unit.speculated = true;
-  ++speculative_;
-  // The re-dispatch extends the deadline for both copies — the original
-  // holder may still seal, and the sweep must give the speculative copy a
-  // full window too.
-  return make_job(best, unit);
+  return std::nullopt;
 }
 
 Coordinator::Row Coordinator::add_row_locked(const campaign::TrialRow& row,
@@ -362,7 +321,6 @@ void Coordinator::mark_done_locked(Unit& unit) {
   // A quarantined unit heals here too: its work arrived after all.
   unit.state = UnitState::Done;
   unit.worker.clear();
-  unit.speculated = false;
 }
 
 template <class JournalRow>
@@ -520,7 +478,6 @@ Coordinator::Status Coordinator::status() const {
   }
   s.workers = workers_seen_;
   s.lease_expiries = lease_expiries_;
-  s.speculative_dispatches = speculative_;
   s.journal_errors = journal_errors_;
   s.journal_syncs = journal_syncs_;
   s.journal_sync_ms = static_cast<double>(journal_sync_ns_) / 1e6;

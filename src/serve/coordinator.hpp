@@ -37,18 +37,16 @@
 ///    one already covers their rows.
 ///
 /// Self-healing:
-///  - Adaptive leases: once enough units have completed, the lease window is
-///    re-derived from observed unit wall times (p90 x slack, clamped), so a
-///    slow scenario doesn't thrash on a static timeout and a fast one
-///    doesn't wait 30 s to reissue after a worker dies.
+///  - Adaptive leases: once kLeaseObservations units have completed, the
+///    lease window is re-derived from observed unit wall times (p90 x
+///    kLeaseSlack, clamped to [kLeaseFloorSecs, kLeaseCeilSecs]), so a slow
+///    scenario doesn't thrash on a static timeout and a fast one doesn't
+///    wait 30 s to reissue after a worker dies.
 ///  - Poison quarantine: a unit whose lease expires `max_unit_expiries`
 ///    times is quarantined instead of requeued forever — the campaign
 ///    completes with an explicit quarantined manifest (finalize() exports
 ///    the committed subset) rather than livelocking. A late seal for a
 ///    quarantined unit is still accepted and can heal it back to Done.
-///  - Speculative re-dispatch: when every unit is leased out, an idle worker
-///    is handed a second copy of the unit closest to lease expiry (row dedup
-///    makes duplicate execution safe), cutting the straggler tail.
 ///  - Journal degradation: a journal write or fsync failure disables
 ///    checkpointing (counted and reported in status) but never fails the
 ///    row or the seal — availability over durability; the on-disk prefix
@@ -80,24 +78,14 @@ class Coordinator {
     /// Trials per work unit (lease granularity). 0 means one unit per
     /// scenario; 1 maximizes retry granularity.
     std::uint32_t unit_trials = 4;
-    /// Lease timeout: a unit not sealed within this window is requeued.
-    /// Sweeps run on every lease request (long-polls wake for them), so
-    /// expiry needs no dedicated thread. With `adaptive_lease`, this is only the STARTING
-    /// window — once `lease_observations` units have completed, the window
-    /// becomes p90(observed unit seconds) x lease_slack, clamped to
-    /// [lease_floor_secs, lease_ceil_secs].
+    /// Starting lease timeout: a unit not sealed within this window is
+    /// requeued. Sweeps run on every lease request (long-polls wake for
+    /// them), so expiry needs no dedicated thread. Once kLeaseObservations
+    /// units have completed, the window adapts (see lease_window_secs_locked).
     double lease_secs = 30.0;
-    bool adaptive_lease = true;
-    double lease_slack = 4.0;
-    std::size_t lease_observations = 8;
-    double lease_floor_secs = 0.05;
-    double lease_ceil_secs = 3600.0;
     /// Quarantine threshold: a unit whose lease expires this many times is
     /// quarantined (reported, not requeued). 0 disables quarantine.
     std::uint32_t max_unit_expiries = 5;
-    /// Hand stragglers to idle workers before their lease expires (safe:
-    /// rows are exactly-once). At most one speculative copy per lease term.
-    bool speculative_redispatch = true;
     /// Append-only journal path; empty disables checkpointing.
     std::string journal_path;
     /// Load the journal before dispatching and skip committed trials.
@@ -105,6 +93,14 @@ class Coordinator {
     /// Propagated to workers in every JobSpec.
     bool collect_telemetry = false;
   };
+
+  /// Adaptive lease window: p90(observed unit seconds) x kLeaseSlack,
+  /// clamped to [kLeaseFloorSecs, kLeaseCeilSecs], once kLeaseObservations
+  /// units have completed.
+  static constexpr double kLeaseSlack = 4.0;
+  static constexpr std::size_t kLeaseObservations = 8;
+  static constexpr double kLeaseFloorSecs = 0.05;
+  static constexpr double kLeaseCeilSecs = 3600.0;
 
   explicit Coordinator(Config config);
 
@@ -126,10 +122,9 @@ class Coordinator {
 
   /// Lease the next available unit; nullopt when nothing is leasable. With a
   /// nonzero `wait` this is a long-poll: it blocks until a unit becomes
-  /// leasable (a lease deadline or speculation point passes), the campaign
-  /// is loaded or settles, `wait` elapses, or `cancel` is raised and
-  /// wake_waiters() called. Callers tell the outcomes apart through
-  /// campaign_loaded() and done().
+  /// leasable (a lease deadline passes), the campaign is loaded or settles,
+  /// `wait` elapses, or `cancel` is raised and wake_waiters() called.
+  /// Callers tell the outcomes apart through campaign_loaded() and done().
   [[nodiscard]] std::optional<JobSpec> lease(
       const std::string& worker, std::chrono::milliseconds wait = {},
       const std::atomic<bool>* cancel = nullptr);
@@ -184,7 +179,6 @@ class Coordinator {
     std::size_t trials_quarantined = 0;  ///< uncommitted trials stuck there
     std::size_t workers = 0;
     std::size_t lease_expiries = 0;
-    std::size_t speculative_dispatches = 0;
     std::size_t journal_errors = 0;
     std::size_t journal_syncs = 0;    ///< fsyncs issued by seals
     double journal_sync_ms = 0.0;     ///< wall time spent in them
@@ -231,7 +225,6 @@ class Coordinator {
     std::string worker;
     std::uint32_t remaining = 0;  ///< trials in range without a row yet
     std::uint32_t expiries = 0;   ///< lease expiries so far (poison counter)
-    bool speculated = false;      ///< a second copy is out this lease term
     /// Journal write sequence number of the unit's latest journaled row;
     /// the unit is durable once an fsync has covered it.
     std::uint64_t journal_seq = 0;
@@ -246,8 +239,8 @@ class Coordinator {
   void sweep_expired_leases_locked();
   [[nodiscard]] std::optional<JobSpec> try_lease_locked(
       const std::string& worker);
-  [[nodiscard]] std::chrono::steady_clock::time_point next_lease_event_locked(
-      const std::string& worker) const;
+  [[nodiscard]] std::chrono::steady_clock::time_point next_lease_event_locked()
+      const;
   Row add_row_locked(const campaign::TrialRow& row, bool from_journal);
   [[nodiscard]] bool settled_locked() const;
   [[nodiscard]] double lease_window_secs_locked() const;
@@ -281,7 +274,6 @@ class Coordinator {
   std::size_t next_worker_ = 0;
   std::size_t workers_seen_ = 0;
   std::size_t lease_expiries_ = 0;
-  std::size_t speculative_ = 0;
   std::size_t journal_errors_ = 0;
   std::string journal_error_;  ///< first journal failure, for status logs
   std::size_t journal_syncs_ = 0;

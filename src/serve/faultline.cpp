@@ -1,6 +1,6 @@
 #include "serve/faultline.hpp"
 
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -30,7 +30,7 @@ constexpr std::uint64_t kLifecycleSalt = 3;
     throw std::invalid_argument("dualrad: fault spec: trailing junk in '" +
                                 key + "=" + text + "'");
   }
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {  // NaN fails both comparisons
     throw std::invalid_argument("dualrad: fault spec: probability for '" +
                                 key + "' must be in [0,1], got " + text);
   }
@@ -75,10 +75,12 @@ void check_category_sum(const char* category, double sum) {
   }
 }
 
+/// Shortest form that parses back to the same double, so a logged spec
+/// replays the run exactly.
 [[nodiscard]] std::string format_probability(double p) {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", p);
-  return buf;
+  const std::to_chars_result out = std::to_chars(buf, buf + sizeof buf, p);
+  return std::string(buf, out.ptr);
 }
 
 /// Cumulative-threshold pick: uniform draw u against a fault ladder.
@@ -118,7 +120,13 @@ FaultPlan parse_fault_plan(const std::string& spec) {
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
     if (key == "seed") {
+      // Digits only: stoull would accept a sign (wrapping -1 to 2^64-1)
+      // and ignore trailing junk.
       try {
+        if (value.empty() ||
+            value.find_first_not_of("0123456789") != std::string::npos) {
+          throw std::invalid_argument(value);
+        }
         plan.seed = std::stoull(value);
       } catch (const std::exception&) {
         throw std::invalid_argument("dualrad: fault spec: bad seed: " + value);
@@ -165,7 +173,9 @@ std::string fault_plan_to_spec(const FaultPlan& plan) {
   add("corrupt", plan.corrupt);
   add("partial", plan.partial);
   add("reset", plan.reset);
-  if (plan.delay > 0.0) {
+  // A non-default millis is printed even at probability 0, so the spec
+  // round-trips to an equal plan.
+  if (plan.delay > 0.0 || plan.delay_ms != FaultPlan{}.delay_ms) {
     out += ";delay=" + format_probability(plan.delay) + ":" +
            std::to_string(plan.delay_ms);
   }
@@ -173,7 +183,7 @@ std::string fault_plan_to_spec(const FaultPlan& plan) {
   add("fsync_eio", plan.fsync_eio);
   add("enospc", plan.append_enospc);
   add("crash", plan.crash);
-  if (plan.stall > 0.0) {
+  if (plan.stall > 0.0 || plan.stall_ms != FaultPlan{}.stall_ms) {
     out += ";stall=" + format_probability(plan.stall) + ":" +
            std::to_string(plan.stall_ms);
   }

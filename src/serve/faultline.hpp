@@ -70,6 +70,8 @@ struct FaultPlan {
     return torn_write + fsync_eio + append_enospc > 0.0;
   }
   [[nodiscard]] bool any_lifecycle() const { return crash + stall > 0.0; }
+
+  bool operator==(const FaultPlan&) const = default;
 };
 
 /// Parse a fault spec string: semicolon- (or comma-) separated key=value
@@ -84,7 +86,8 @@ struct FaultPlan {
 /// past 1.
 [[nodiscard]] FaultPlan parse_fault_plan(const std::string& spec);
 
-/// Canonical round-trip of a plan back to spec form (for logs and replays).
+/// Canonical round-trip of a plan back to spec form (for logs and replays):
+/// parse_fault_plan(fault_plan_to_spec(plan)) == plan for every parsed plan.
 [[nodiscard]] std::string fault_plan_to_spec(const FaultPlan& plan);
 
 enum class WireFault { None, Drop, Corrupt, Partial, Reset, Delay };

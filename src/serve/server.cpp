@@ -164,8 +164,6 @@ std::string Server::handle_message(const std::string& payload,
     reply += ",\"trials_quarantined\":" + std::to_string(s.trials_quarantined);
     reply += ",\"workers\":" + std::to_string(s.workers);
     reply += ",\"lease_expiries\":" + std::to_string(s.lease_expiries);
-    reply += ",\"speculative_dispatches\":" +
-             std::to_string(s.speculative_dispatches);
     reply += ",\"journal_errors\":" + std::to_string(s.journal_errors);
     reply += ",\"journal_syncs\":" + std::to_string(s.journal_syncs);
     char sync_ms[32];

@@ -65,6 +65,10 @@ void sleep_checking_stop(std::chrono::milliseconds total,
 }
 
 constexpr std::uint64_t kBackoffDomain = 0xB0FF0E55ull;
+/// Give up (throw) after this long without a successful connection.
+constexpr auto kReconnectWindow = std::chrono::seconds(15);
+/// Receive timeout for each expected reply.
+constexpr int kReplyTimeoutMs = 30'000;
 
 /// One logical session with the coordinator, surviving reconnects. request()
 /// is at-least-once: a dropped connection mid-request reconnects (fresh
@@ -119,7 +123,7 @@ class Session {
     if (fd_ < 0) return std::nullopt;
     bool timed_out = false;
     std::optional<std::string> reply =
-        recv_frame(fd_, reader_, options_.reply_timeout_ms, &timed_out);
+        recv_frame(fd_, reader_, kReplyTimeoutMs, &timed_out);
     if (!reply.has_value()) {
       if (reader_.corrupt() && options_.log) {
         // Reconnect-only recovery: the drop() below discards the poisoned
@@ -148,10 +152,7 @@ class Session {
   /// fixed cadence.
   [[nodiscard]] bool ensure_connected() {
     if (fd_ >= 0) return true;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(static_cast<std::int64_t>(
-            options_.reconnect_window_secs * 1e6));
+    const auto deadline = std::chrono::steady_clock::now() + kReconnectWindow;
     for (std::uint64_t attempt = 0;; ++attempt) {
       if (stop_requested()) return false;
       const int fd = connect_();
@@ -180,7 +181,7 @@ class Session {
     if (!send_frame(fd, hello)) return false;
     bool timed_out = false;
     const std::optional<std::string> reply =
-        recv_frame(fd, reader_, options_.reply_timeout_ms, &timed_out);
+        recv_frame(fd, reader_, kReplyTimeoutMs, &timed_out);
     if (!reply.has_value()) return false;
     if (jsonl::field(*reply, "type") != "welcome") return false;
     worker_id_ = std::string(jsonl::field(*reply, "worker"));

@@ -43,10 +43,6 @@ struct WorkerOptions {
   /// together never hammer the coordinator in lockstep.
   std::chrono::milliseconds backoff_base{100};
   std::chrono::milliseconds backoff_max{2000};
-  /// Give up (throw) after this long without a successful connection.
-  double reconnect_window_secs = 15.0;
-  /// Receive timeout for each expected reply.
-  int reply_timeout_ms = 30'000;
   /// Optional cooperative stop: checked between trials and between
   /// requests (a lease long-poll may delay it by up to a second); when set,
   /// the worker returns early (its lease expires and the unit is reissued
@@ -90,7 +86,8 @@ struct InjectedCrash : std::runtime_error {
 /// -1; it is invoked for the initial connection and after every drop.
 /// `catalogue` must contain every scenario the coordinator may dispatch
 /// (unknown scenarios throw). Throws std::runtime_error when the
-/// reconnection window is exhausted or a seal is rejected.
+/// reconnection window (15 s without a successful connection) is exhausted
+/// or a seal is rejected.
 WorkerStats run_worker(const std::function<int()>& connect,
                        const std::vector<campaign::Scenario>& catalogue,
                        const WorkerOptions& options = {});

@@ -170,6 +170,7 @@ echo "   batch resume: byte-identical, telemetry complete ($TELEM rows)"
 echo "== chaos soak: --faults plan across worker pools {1, 2, 4}"
 FAULTS="seed=77;drop=0.03;corrupt=0.02;delay=0.05:25;reset=0.02;crash=0.01;stall=0.01:300"
 for n in 1 2 4; do
+  START=$EPOCHREALTIME
   "$SERVE" serve --listen="$WORK/chaos$n.sock" --filter=$FILTER --seed=$SEED \
     --trials=$TRIALS --unit-trials=8 --spawn=$n --lease-secs=2 \
     --faults="$FAULTS" \
@@ -177,12 +178,13 @@ for n in 1 2 4; do
     --quarantine-jsonl="$WORK/chaos$n.quarantine" \
     --jsonl="$WORK/chaos$n.jsonl" --summary-csv="$WORK/chaos$n.csv" --quiet \
     2>"$WORK/chaos$n.log"
+  WALL=$(awk -v a="$START" -v b="$EPOCHREALTIME" 'BEGIN { printf "%.1f", b - a }')
   # Exit 0 (set -e) already proves nothing quarantined; pin it explicitly.
   [ ! -s "$WORK/chaos$n.quarantine" ]
   cmp "$WORK/batch.jsonl" "$WORK/chaos$n.jsonl"
   cmp "$WORK/batch.csv" "$WORK/chaos$n.csv"
   grep -q "faults" "$WORK/chaos$n.log"
-  echo "   $n worker(s) under chaos: byte-identical"
+  echo "   $n worker(s) under chaos: byte-identical ($WALL s)"
 done
 
 echo "serve smoke: all legs passed"

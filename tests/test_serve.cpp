@@ -23,6 +23,7 @@
 #include "campaign/export.hpp"
 #include "campaign/jsonl.hpp"
 #include "campaign/registry.hpp"
+#include "core/rng.hpp"
 #include "graph/dual_builders.hpp"
 #include "obs/heartbeat.hpp"
 #include "serve/checkpoint.hpp"
@@ -718,7 +719,6 @@ TEST(ServeSeal, LongPollingWorkerHearsDoneAtTheFinalSeal) {
   Coordinator::Config config;
   config.master_seed = 53;
   config.unit_trials = 0;
-  config.adaptive_lease = false;  // no lease expiry or speculation in reach
   Coordinator coordinator(config);
   coordinator.load_campaign(scenarios);
   Server server(coordinator, {});
@@ -778,7 +778,6 @@ TEST(ServeServer, StopWakesTheAcceptLoopAndBlockedHandlersAtOnce) {
   const std::vector<Scenario> scenarios = {cheap_scenario("serve/stop/one")};
   Coordinator::Config config;
   config.unit_trials = 0;
-  config.adaptive_lease = false;
   Coordinator coordinator(config);
   coordinator.load_campaign(scenarios);
   ASSERT_TRUE(coordinator.lease("holder").has_value());
@@ -1033,7 +1032,16 @@ TEST(ServeFaultline, SpecParsesAndRoundTrips) {
 
   // Canonical spec round-trips to the same plan (commas also accepted).
   const FaultPlan again = parse_fault_plan(fault_plan_to_spec(plan));
+  EXPECT_TRUE(again == plan);
   EXPECT_EQ(fault_plan_to_spec(again), fault_plan_to_spec(plan));
+  // Exactly, with every digit: the logged spec is what a replay copies.
+  for (const char* spec :
+       {"drop=0.1234567;delay=0.3:40", "reset=0.30000000000000004",
+        "seed=18446744073709551615;crash=1e-07", "stall=0:300;delay=0:5"}) {
+    const FaultPlan p = parse_fault_plan(spec);
+    EXPECT_TRUE(parse_fault_plan(fault_plan_to_spec(p)) == p)
+        << spec << " -> " << fault_plan_to_spec(p);
+  }
   EXPECT_EQ(parse_fault_plan("drop=0.5,reset=0.25").reset, 0.25);
   EXPECT_FALSE(parse_fault_plan("").any_wire());
 }
@@ -1045,11 +1053,60 @@ TEST(ServeFaultline, SpecRejectsMalformedInput) {
   EXPECT_THROW((void)parse_fault_plan("drop=abc"), std::invalid_argument);
   EXPECT_THROW((void)parse_fault_plan("drop"), std::invalid_argument);
   EXPECT_THROW((void)parse_fault_plan("delay=0.1:-5"), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_plan("drop=nan"), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_plan("stall=nan:10"), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_plan("seed=12abc"), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_plan("seed=-1"), std::invalid_argument);
   // A category's probabilities must sum to <= 1.
   EXPECT_THROW((void)parse_fault_plan("drop=0.6;corrupt=0.6"),
                std::invalid_argument);
   EXPECT_THROW((void)parse_fault_plan("torn=0.7;enospc=0.7"),
                std::invalid_argument);
+}
+
+TEST(ServeFaultline, MutatedSpecsRoundTripOrThrow) {
+  // Seeded mutation fuzz of parse_fault_plan over the chaos soak's spec
+  // (tests/serve_smoke.sh): byte flips, truncations and inserted separators.
+  // Every parse either throws std::invalid_argument or returns a plan that
+  // round-trips exactly through fault_plan_to_spec.
+  const std::string soak =
+      "seed=77;drop=0.03;corrupt=0.02;delay=0.05:25;reset=0.02;crash=0.01;"
+      "stall=0.01:300";
+  StreamRng rng(0x5BEC);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (int iter = 0; iter < 5000; ++iter) {
+    std::string spec = soak;
+    for (std::uint64_t m = 1 + rng.below(3); m > 0; --m) {
+      const std::uint64_t at = rng.below(spec.size() + 1);
+      switch (rng.below(3)) {
+        case 0:
+          if (at < spec.size()) {
+            spec[at] = static_cast<char>(spec[at] ^ (1 + rng.below(255)));
+          }
+          break;
+        case 1:
+          spec.resize(at);
+          break;
+        default:
+          spec.insert(at, 1, ";=:"[rng.below(3)]);
+          break;
+      }
+    }
+    FaultPlan plan;
+    try {
+      plan = parse_fault_plan(spec);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    const std::string canonical = fault_plan_to_spec(plan);
+    EXPECT_TRUE(parse_fault_plan(canonical) == plan)
+        << spec << " -> " << canonical;
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(ServeFaultline, ScheduleIsAPureFunctionOfSeedSiteAndIndex) {
@@ -1151,7 +1208,6 @@ TEST(ServeFaultline, LostRowFramesAreResentAtTheSeal) {
   config.master_seed = 59;
   config.unit_trials = 4;
   config.lease_secs = 0.3;  // reissue units whose lease reply was lost
-  config.adaptive_lease = false;
   config.max_unit_expiries = 0;
   Coordinator coordinator(config);
   coordinator.load_campaign(scenarios);
@@ -1186,7 +1242,6 @@ TEST(ServeFaultline, InjectedCrashesHealThroughRestartAndRequeue) {
   config.master_seed = 31;
   config.unit_trials = 2;
   config.lease_secs = 0.05;  // requeue the crashed worker's unit quickly
-  config.adaptive_lease = false;
   config.max_unit_expiries = 0;  // never quarantine: the run must complete
   Coordinator coordinator(config);
   coordinator.load_campaign(scenarios);
@@ -1225,7 +1280,6 @@ TEST(ServeCoordinator, PoisonUnitsAreQuarantinedAndLateCommitsHeal) {
   config.master_seed = 13;
   config.unit_trials = 0;  // one unit covering all four trials
   config.lease_secs = 0.01;
-  config.adaptive_lease = false;
   config.max_unit_expiries = 2;
   Coordinator coordinator(config);
   coordinator.load_campaign(scenarios);
@@ -1286,7 +1340,6 @@ TEST(ServeCoordinator, PartialQuarantineExportsTheCommittedSubset) {
   config.master_seed = 17;
   config.unit_trials = 0;
   config.lease_secs = 0.01;
-  config.adaptive_lease = false;
   config.max_unit_expiries = 1;
   Coordinator coordinator(config);
   coordinator.load_campaign(scenarios);
@@ -1322,49 +1375,12 @@ TEST(ServeCoordinator, PartialQuarantineExportsTheCommittedSubset) {
   EXPECT_EQ(result.summaries[1].trials, 2u);
 }
 
-TEST(ServeCoordinator, SpeculativeRedispatchHandsStragglersToIdleWorkers) {
-  const std::vector<Scenario> scenarios = {cheap_scenario("serve/spec/one")};
-  Coordinator::Config config;
-  config.master_seed = 19;
-  config.unit_trials = 0;  // one unit: the straggler
-  config.lease_secs = 0.2;
-  config.adaptive_lease = false;
-  Coordinator coordinator(config);
-  coordinator.load_campaign(scenarios);
-
-  const std::optional<JobSpec> slow = coordinator.lease("slow");
-  ASSERT_TRUE(slow.has_value());
-
-  // Too early: the lease is under half its window, and the holder itself
-  // never gets a speculative copy of its own unit.
-  EXPECT_FALSE(coordinator.lease("idle").has_value());
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  EXPECT_FALSE(coordinator.lease("slow").has_value());
-
-  // Past the half-window mark an idle worker is handed a second copy...
-  const std::optional<JobSpec> copy = coordinator.lease("idle");
-  ASSERT_TRUE(copy.has_value());
-  EXPECT_EQ(copy->unit, slow->unit);
-  EXPECT_EQ(coordinator.status().speculative_dispatches, 1u);
-  // ...but only one copy per lease term.
-  EXPECT_FALSE(coordinator.lease("idle2").has_value());
-
-  // Either holder finishing the unit finishes the campaign (row dedup makes
-  // the duplicate execution harmless).
-  const campaign::TrialExecutor executor(scenarios[0], 19);
-  EXPECT_EQ(run_unit(coordinator, executor, *copy), Coordinator::Seal::Ack);
-  EXPECT_TRUE(coordinator.done());
-  EXPECT_EQ(coordinator.status().units_done, 1u);
-}
-
 TEST(ServeCoordinator, AdaptiveLeaseTracksObservedUnitTimes) {
   const std::vector<Scenario> scenarios = cheap_campaign();
   Coordinator::Config config;
   config.master_seed = 23;
   config.unit_trials = 1;  // 10 units: enough adaptive observations
   config.lease_secs = 30.0;
-  config.lease_observations = 4;
-  config.lease_floor_secs = 0.05;
   Coordinator coordinator(config);
   coordinator.load_campaign(scenarios);
 

@@ -32,6 +32,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -359,10 +360,6 @@ int run_serve(const Options& options) {
       if (s.lease_expiries != 0) {
         extra += " | " + std::to_string(s.lease_expiries) + " expiry(ies)";
       }
-      if (s.speculative_dispatches != 0) {
-        extra += " | " + std::to_string(s.speculative_dispatches) +
-                 " speculative";
-      }
       if (s.units_quarantined != 0) {
         extra += " | " + std::to_string(s.units_quarantined) + " quarantined";
       }
@@ -597,30 +594,24 @@ int run_status(const Options& options) {
     std::fprintf(stderr, "unexpected reply: %s\n", reply->c_str());
     return 1;
   }
-  const auto show = [&](const char* key) {
-    std::printf("%-22s %s\n", key,
-                std::string(jsonl::field(*reply, key)).c_str());
-  };
-  show("loaded");
-  show("finished");
-  show("scenarios");
-  show("total_trials");
-  show("committed");
-  show("resumed");
-  show("units_pending");
-  show("units_leased");
-  show("units_done");
-  show("units_quarantined");
-  show("trials_quarantined");
-  show("workers");
-  show("lease_expiries");
-  show("speculative_dispatches");
-  show("journal_errors");
-  show("journal_syncs");
-  show("journal_sync_ms");
-  show("seals");
-  show("row_resends");
-  show("lease_ms_effective");
+  // Print the reply's keys in its own order, so the server alone owns the
+  // status schema.
+  const std::string_view line = *reply;
+  jsonl::require_flat_object(line);
+  for (std::size_t at = 1; at < line.size() && line[at] == '"';) {
+    const std::size_t close = line.find('"', at + 1);
+    if (close == std::string_view::npos) break;
+    const std::string_view key = line.substr(at + 1, close - at - 1);
+    const std::string_view value = jsonl::field(line, key);
+    if (key != "type") {
+      std::printf("%-22.*s %.*s\n", static_cast<int>(key.size()), key.data(),
+                  static_cast<int>(value.size()), value.data());
+    }
+    at = line.find(',', static_cast<std::size_t>(value.data() - line.data()) +
+                            value.size());
+    if (at == std::string_view::npos) break;
+    ++at;
+  }
   return 0;
 }
 

@@ -41,6 +41,14 @@ class TokenProcess : public Process {
   [[nodiscard]] Round token_round() const { return token_round_; }
   [[nodiscard]] bool has_token() const { return token_round_ != kNever; }
 
+  /// The hearing() answer of a class whose state is exactly the one kept
+  /// here: silence is a no-op, and once the token is held every reception
+  /// is. Not the base's default, since a subclass that tracks receptions of
+  /// its own (the test Recorder, say) must keep hearing them.
+  [[nodiscard]] Hearing token_hearing() const {
+    return has_token() ? Hearing::None : Hearing::NonSilence;
+  }
+
  private:
   Round activation_round_ = kNever;
   Round token_round_ = kNever;

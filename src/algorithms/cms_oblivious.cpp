@@ -45,8 +45,9 @@ class CmsObliviousProcess final : public TokenProcess {
     return cycle_start + static_cast<Round>(*it) + 1;
   }
 
-  /// State is the token round only; silence receptions are no-ops.
-  [[nodiscard]] bool silence_transparent() const override { return true; }
+  /// State is the token round only: silence is a no-op, and so is every
+  /// reception once the token is held.
+  [[nodiscard]] Hearing hearing() const override { return token_hearing(); }
 
   [[nodiscard]] std::unique_ptr<Process> clone() const override {
     return std::make_unique<CmsObliviousProcess>(*this);

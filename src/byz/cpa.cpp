@@ -105,7 +105,9 @@ class CpaProcess final : public Process {
   }
 
   /// State changes only on message receptions; metrics count acceptances.
-  [[nodiscard]] bool silence_transparent() const override { return true; }
+  [[nodiscard]] Hearing hearing() const override {
+    return Hearing::NonSilence;
+  }
 
   [[nodiscard]] std::unique_ptr<Process> clone() const override {
     return std::make_unique<CpaProcess>(*this);
@@ -216,7 +218,9 @@ class UncertifiedRelayProcess final : public Process {
     return memo_next_;
   }
 
-  [[nodiscard]] bool silence_transparent() const override { return true; }
+  [[nodiscard]] Hearing hearing() const override {
+    return Hearing::NonSilence;
+  }
 
   [[nodiscard]] std::unique_ptr<Process> clone() const override {
     return std::make_unique<UncertifiedRelayProcess>(*this);

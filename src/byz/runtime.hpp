@@ -60,8 +60,8 @@ class ByzRuntime {
   /// registered forger, or the token was previously delivered to it.
   [[nodiscard]] bool may_transmit(NodeId v, TokenId tok) const;
 
-  /// Record the delivery of forged token `tok` at node `v`. Only per-node
-  /// state is written (shard-safe). The token must be registered.
+  /// Record the delivery of forged token `tok` at node `v`. The token must
+  /// be registered.
   void note_delivery(TokenId tok, NodeId v);
 
   /// Per-forged-token provenance, in fault-addition order.
@@ -95,7 +95,7 @@ class ByzRuntime {
   std::vector<Slot> slots_;
   std::vector<std::pair<TokenId, std::uint32_t>> slot_of_token_;  ///< sorted
   /// Per-node bitmask of forged tokens delivered there (<= 64 forgers,
-  /// ByzantinePlan::kMaxForgers). Shard workers write disjoint nodes.
+  /// ByzantinePlan::kMaxForgers).
   std::vector<std::uint64_t> seen_mask_;
   std::vector<NodeId> injected_;  ///< per-round scratch
 };

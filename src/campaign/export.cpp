@@ -16,6 +16,7 @@ namespace {
 
 using jsonl::field;
 using jsonl::field_opt;
+using jsonl::to_int;
 using jsonl::to_ll;
 using jsonl::to_u64;
 
@@ -149,7 +150,7 @@ std::vector<TrialRow> trials_from_jsonl(const std::string& text) {
     jsonl::require_flat_object(line);
     TrialRow r;
     r.scenario = std::string(field(line, "scenario"));
-    r.trial = static_cast<std::uint32_t>(to_u64(field(line, "trial")));
+    r.trial = to_int<std::uint32_t>(field(line, "trial"));
     r.seed = to_u64(field(line, "seed"));
     const std::string_view completed = field(line, "completed");
     DUALRAD_REQUIRE(completed == "true" || completed == "false",
@@ -161,7 +162,7 @@ std::vector<TrialRow> trials_from_jsonl(const std::string& text) {
     r.collisions = to_u64(field(line, "collisions"));
     // Optional keys: absent in exports predating multi-message / timing.
     const std::optional<std::string_view> tokens = field_opt(line, "tokens");
-    r.tokens = tokens.has_value() ? static_cast<std::int32_t>(to_ll(*tokens)) : 1;
+    r.tokens = tokens.has_value() ? to_int<std::int32_t>(*tokens) : 1;
     const std::optional<std::string_view> wall = field_opt(line, "wall_us");
     r.wall_us = wall.has_value() ? to_ll(*wall) : -1;
     rows.push_back(std::move(r));
@@ -196,7 +197,7 @@ std::vector<TrialRow> trials_from_csv(const std::string& text) {
                     "trial CSV row does not match the header: " + line);
     TrialRow r;
     r.scenario = cells[0];
-    r.trial = static_cast<std::uint32_t>(to_u64(cells[1]));
+    r.trial = to_int<std::uint32_t>(cells[1]);
     r.seed = to_u64(cells[2]);
     DUALRAD_REQUIRE(cells[3] == "0" || cells[3] == "1",
                     "completed must be 0/1");
@@ -205,7 +206,7 @@ std::vector<TrialRow> trials_from_csv(const std::string& text) {
     r.rounds_executed = to_ll(cells[5]);
     r.sends = to_u64(cells[6]);
     r.collisions = to_u64(cells[7]);
-    if (columns >= 9) r.tokens = static_cast<std::int32_t>(to_ll(cells[8]));
+    if (columns >= 9) r.tokens = to_int<std::int32_t>(cells[8]);
     if (columns >= 10) r.wall_us = to_ll(cells[9]);
     rows.push_back(std::move(r));
   }
@@ -247,7 +248,7 @@ std::vector<TelemetryRow> telemetry_from_jsonl(const std::string& text) {
     jsonl::require_flat_object(line);
     TelemetryRow r;
     r.scenario = std::string(field(line, "scenario"));
-    r.trial = static_cast<std::uint32_t>(to_u64(field(line, "trial")));
+    r.trial = to_int<std::uint32_t>(field(line, "trial"));
     // Everything else is optional: lines from before a given counter existed
     // (including timing-only legacy rows with just wall_us) parse with that
     // counter at its default.

@@ -1,10 +1,12 @@
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 #include "core/types.hpp"
 
@@ -54,22 +56,35 @@ namespace dualrad::campaign::jsonl {
   return *value;
 }
 
+/// The whole of `s` as a T, parsed by std::from_chars: no whitespace, no
+/// trailing junk, no sign on an unsigned T, and the value in T's range;
+/// nullopt otherwise.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_number(std::string_view s) {
+  T value{};
+  const char* const end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// parse_number for a field that must hold a T: anything else throws
+/// std::invalid_argument, so a malformed or out-of-range field never
+/// parses as a plausible value.
+template <typename T>
+[[nodiscard]] T to_int(std::string_view s) {
+  const std::optional<T> value = parse_number<T>(s);
+  DUALRAD_REQUIRE(value.has_value(),
+                  "malformed or out-of-range numeric field: " + std::string(s));
+  return *value;
+}
+
 [[nodiscard]] inline long long to_ll(std::string_view s) {
-  try {
-    return std::stoll(std::string(s));
-  } catch (const std::exception&) {
-    throw std::invalid_argument("dualrad: non-numeric field: " +
-                                std::string(s));
-  }
+  return to_int<long long>(s);
 }
 
 [[nodiscard]] inline std::uint64_t to_u64(std::string_view s) {
-  try {
-    return std::stoull(std::string(s));
-  } catch (const std::exception&) {
-    throw std::invalid_argument("dualrad: non-numeric field: " +
-                                std::string(s));
-  }
+  return to_int<std::uint64_t>(s);
 }
 
 /// Reject lines that are not exactly one flat object: must start with '{',

@@ -46,6 +46,13 @@ struct ProcessMetric {
   double value = 0.0;
 };
 
+/// Which receptions can still change a process's state (Process::hearing).
+enum class Hearing : std::uint8_t {
+  All,         ///< every reception, silence included (the default)
+  NonSilence,  ///< messages and collisions; silence is a no-op
+  None,        ///< nothing: the state is final
+};
+
 /// What a process does at the start of a round.
 struct Action {
   bool send = false;
@@ -76,7 +83,7 @@ class Process {
 
   /// Scheduling hint for the sparse round engine: the smallest round
   /// r >= `from` at which `next_action(r)` may return a send, assuming no
-  /// state transition (on_receive with a non-silence reception, or
+  /// state transition (an on_receive the hearing() hint admits, or
   /// on_activate) happens before r; kNever if the process will never send
   /// again absent such a transition. The engine promises to query
   /// `next_action` at the hinted round (a conservative hint that
@@ -88,13 +95,19 @@ class Process {
   /// functions of the round number.
   [[nodiscard]] virtual Round next_send_round(Round from) const { return from; }
 
-  /// Declares that receiving Silence never changes this process's state or
-  /// observable behavior, so the engine may skip `on_receive` calls whose
-  /// reception is Silence. Opt-in per concrete class: override to return
-  /// true only if `on_receive` provably ignores silence (and the class
-  /// exports no metric counting receptions). The default keeps the exact
-  /// per-round delivery of the reference engine.
-  [[nodiscard]] virtual bool silence_transparent() const { return false; }
+  /// Delivery hint for the sparse round engine: which receptions can still
+  /// change this process's state or observable behavior (next_action,
+  /// next_send_round, final_metrics). The engine skips `on_receive` for
+  /// every reception the current answer excludes, and re-reads it after
+  /// each on_activate and each on_receive it does make, so the answer may
+  /// depend on state. NonSilence claims silence receptions are no-ops; None
+  /// claims every reception is — a broadcast process that already holds the
+  /// token has nothing left to learn — and is final, since the engine never
+  /// calls on_receive (or re-reads the hint) again. Opt-in per concrete
+  /// class: narrow the answer only where `on_receive` provably ignores
+  /// those receptions (and no exported metric counts them). The default
+  /// keeps the reference engine's exact per-round delivery.
+  [[nodiscard]] virtual Hearing hearing() const { return Hearing::All; }
 
   /// Deep copy (same id, same state). Required for execution branching in
   /// the lower-bound harnesses.

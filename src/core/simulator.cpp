@@ -1,6 +1,7 @@
 #include "core/simulator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -37,23 +38,28 @@ namespace dualrad {
 ///    admits a send; the default hint ("maybe next round") degenerates to
 ///    per-round polling, so arbitrary processes remain exactly as observable
 ///    as under the reference engine. Any state transition (activation or a
-///    non-silence reception — or any reception, for processes that do not
-///    declare silence_transparent) reschedules the process.
-///  * **Silence elision** — processes that declare silence_transparent()
-///    receive on_receive only for non-silence receptions; everyone else is
-///    kept on the reference engine's per-round delivery via a `noisy` list.
+///    delivered reception) reschedules the process.
+///  * **Reception elision** — each process's Process::hearing() hint,
+///    re-read after every activation and delivered reception, names the
+///    receptions that can still change it. NonSilence processes skip
+///    silence; None processes (a broadcast process holding the token) leave
+///    the delivery loop entirely: no on_receive, no replan, no
+///    process-object prefetch. Only All processes stay on the reference
+///    engine's per-round delivery, via a `noisy` list. Token bookkeeping
+///    (covered / holds / token_first, Byzantine provenance) stays
+///    engine-side and sees every reception.
 ///  * **Straight-line serial round** — poll, adversary, propagate, deliver
 ///    and the round epilogue run in one pass each on the calling thread.
-///    Calendar pops are sorted before polling, so process objects, plans
-///    and token flags are read front to back, and the sender list comes
-///    out ascending as a subsequence of the sorted pops.
+///    Calendar pops are radix-sorted before polling, so process objects,
+///    plans and token flags are read front to back, and the sender list
+///    comes out ascending as a subsequence of the sorted pops.
 ///    Deliveries replan straight into the calendar and append new coverage
 ///    straight to the next round's delta. Parallelism lives one level up,
 ///    across trials (campaign/engine.hpp): an earlier intra-trial sharded
 ///    kernel measured 0.47-0.93x of this loop on four real cores.
 ///
-/// Everything observable — process call sequences modulo elided silent
-/// no-ops, adversary call order (one sealed ReachSink batch per round with
+/// Everything observable — process call sequences modulo elided no-op
+/// receptions, adversary call order (one sealed ReachSink batch per round with
 /// senders ascending; CR4 resolutions in ascending node order, exactly the
 /// reference's node scan; on_round_end with the round's ascending coverage
 /// delta), RNG streams, SimResult including traces — is bit-identical
@@ -124,6 +130,57 @@ class SendCalendar {
 
   std::vector<Round> planned_;
   std::vector<std::vector<NodeId>> buckets_;
+};
+
+/// Ascending sort of a round's calendar pops: an LSD radix sort on 8-bit
+/// digits of the (non-negative) node ids, one pass per digit that ids below
+/// n can have, all histograms taken in one read; a pass whose digit is the
+/// same for every id is skipped. The scratch buffer is reused across rounds.
+/// Lists too short to repay the 256-bucket histograms go to std::sort: on
+/// random ids below 10^6 (three digits) the two cross over at about 32 ids,
+/// and at the ~2 900 pops of an average layered-1m round the radix sort
+/// takes 24 us against std::sort's 194 us (4-vCPU Xeon VM, g++ 12 -O3).
+class NodeIdSorter {
+ public:
+  static constexpr std::size_t kMinRadix = 32;
+
+  explicit NodeIdSorter(NodeId n) {
+    for (auto top = static_cast<std::uint32_t>(n - 1); top != 0; top >>= 8) {
+      ++digits_;
+    }
+  }
+
+  void sort(std::vector<NodeId>& ids) {
+    if (ids.size() < kMinRadix) {
+      std::sort(ids.begin(), ids.end());
+      return;
+    }
+    std::array<std::array<std::uint32_t, 256>, 4> count{};
+    for (const NodeId v : ids) {
+      const auto key = static_cast<std::uint32_t>(v);
+      for (int d = 0; d < digits_; ++d) ++count[d][(key >> (8 * d)) & 0xFF];
+    }
+    scratch_.resize(ids.size());
+    for (int d = 0; d < digits_; ++d) {
+      auto& offset = count[d];
+      const int shift = 8 * d;
+      if (offset[(static_cast<std::uint32_t>(ids.front()) >> shift) & 0xFF] ==
+          ids.size()) {
+        continue;
+      }
+      std::uint32_t sum = 0;
+      for (std::uint32_t& c : offset) sum += std::exchange(c, sum);
+      for (const NodeId v : ids) {
+        scratch_[offset[(static_cast<std::uint32_t>(v) >> shift) & 0xFF]++] =
+            v;
+      }
+      ids.swap(scratch_);
+    }
+  }
+
+ private:
+  int digits_ = 0;
+  std::vector<NodeId> scratch_;
 };
 
 }  // namespace
@@ -220,7 +277,6 @@ SimResult Simulator::run() {
   std::vector<NodeId> byz_removed;
   std::vector<NodeId> byz_added;
 
-  NodeFlags awake(un, 0);
   // covered[v]: the process at v holds at least one token (what the
   // adversary view exposes); holds[t*n + v]: it holds token id t+1.
   NodeFlags covered(un, 0);
@@ -232,18 +288,36 @@ SimResult Simulator::run() {
   std::vector<NodeId> covered_delta;
   std::vector<NodeId> next_delta;
 
-  // Scheduling state. `transparent[v]` caches silence_transparent() of the
-  // process at v (queried at activation); non-transparent awake nodes are
-  // listed in `noisy` and get the reference engine's per-round delivery.
+  // Scheduling state. `hears[v]` packs the Hearing hint of the process at
+  // v (low bits; re-read after every activation and delivered reception)
+  // with kAsleep until it wakes and kListed while it sits in `noisy`, the
+  // awake All nodes that get the reference engine's per-round silence.
+  // A node whose hint leaves All drops out of `noisy` at its next silence
+  // pass.
+  constexpr std::uint8_t kHintMask = 3;
+  constexpr std::uint8_t kAsleep = 4;
+  constexpr std::uint8_t kListed = 8;
+  constexpr auto kAll = static_cast<std::uint8_t>(Hearing::All);
+  constexpr auto kNonSilence = static_cast<std::uint8_t>(Hearing::NonSilence);
+  constexpr auto kNone = static_cast<std::uint8_t>(Hearing::None);
   SendCalendar calendar(un);
-  NodeFlags transparent(un, 0);
+  NodeFlags hears(un, kAsleep);
   std::vector<NodeId> noisy;
+  // Caches p.hearing() for the awake node v (clearing kAsleep) and lists v
+  // in `noisy` if it hears All and is not listed yet.
+  const auto read_hint = [&](NodeId v, const Process& p) {
+    std::uint8_t& h = hears[static_cast<std::size_t>(v)];
+    const auto hint = static_cast<std::uint8_t>(p.hearing());
+    h = static_cast<std::uint8_t>((h & kListed) | hint);
+    if (hint == kAll && (h & kListed) == 0) {
+      h |= kListed;
+      noisy.push_back(v);
+    }
+  };
   const auto activate_bookkeeping = [&](NodeId v, Round now) {
-    const auto uv = static_cast<std::size_t>(v);
-    awake[uv] = 1;
-    transparent[uv] = proc_at[uv]->silence_transparent() ? 1 : 0;
-    if (!transparent[uv]) noisy.push_back(v);
-    calendar.plan(v, proc_at[uv]->next_send_round(now + 1), now);
+    const Process& p = *proc_at[static_cast<std::size_t>(v)];
+    read_hint(v, p);
+    calendar.plan(v, p.next_send_round(now + 1), now);
   };
 
   // Environment input: each token arrives at its source process prior to
@@ -265,7 +339,7 @@ SimResult Simulator::run() {
   std::sort(covered_delta.begin(), covered_delta.end());
   if (config_.start == StartRule::Synchronous) {
     for (NodeId v = 0; v < n; ++v) {
-      if (awake[static_cast<std::size_t>(v)]) continue;
+      if ((hears[static_cast<std::size_t>(v)] & kAsleep) == 0) continue;
       proc_at[static_cast<std::size_t>(v)]->on_activate(0, std::nullopt);
       activate_bookkeeping(v, 0);
     }
@@ -281,23 +355,28 @@ SimResult Simulator::run() {
   // of the node 2 * kAhead positions on, then the object of the node kAhead
   // on (its slot was fetched kAhead iterations ago). On layered-1m/benign
   // (4-vCPU Xeon VM) this cut deliver by ~0.4 s and poll by ~0.25 s per
-  // trial.
+  // trial. Deliver (`skip_final`) fetches nothing for None nodes, which it
+  // never calls.
   constexpr std::size_t kAhead = 16;
   const auto prefetch_process = [&](const std::vector<NodeId>& nodes,
-                                    std::size_t i) {
+                                    std::size_t i, bool skip_final) {
+    const auto wanted = [&](std::size_t at) {
+      return !skip_final || (hears[at] & kHintMask) != kNone;
+    };
     if (i + 2 * kAhead < nodes.size()) {
-      __builtin_prefetch(
-          &proc_at[static_cast<std::size_t>(nodes[i + 2 * kAhead])]);
+      const auto far = static_cast<std::size_t>(nodes[i + 2 * kAhead]);
+      if (wanted(far)) __builtin_prefetch(&proc_at[far]);
     }
     if (i + kAhead < nodes.size()) {
-      __builtin_prefetch(
-          proc_at[static_cast<std::size_t>(nodes[i + kAhead])].get());
+      const auto near = static_cast<std::size_t>(nodes[i + kAhead]);
+      if (wanted(near)) __builtin_prefetch(proc_at[near].get());
     }
   };
 
   // Reusable per-round buffers. The ReachSink is handed to the adversary
   // every round with capacity retained — no per-round reach allocations.
   std::vector<NodeId> due;       // calendar pops, sorted before polling
+  NodeIdSorter sorter(n);
   std::vector<NodeId> senders;   // ascending: a subsequence of `due`
   std::vector<NodeId> touched;   // nodes with >= 1 arrival, deposit order
   std::vector<NodeId> collided;  // nodes with >= 2 arrivals, deposit order
@@ -348,10 +427,10 @@ SimResult Simulator::run() {
     // streams) see senders in. ---
     due.clear();
     const std::size_t calendar_scanned = calendar.take_due(round, due);
-    std::sort(due.begin(), due.end());
+    sorter.sort(due);
     senders.clear();
     for (std::size_t i = 0; i < due.size(); ++i) {
-      prefetch_process(due, i);
+      prefetch_process(due, i, /*skip_final=*/false);
       const NodeId v = due[i];
       const auto uv = static_cast<std::size_t>(v);
       const Action action = proc_at[uv]->next_action(round);
@@ -492,7 +571,8 @@ SimResult Simulator::run() {
     // engine's two-pass order — so computing and delivering per node in one
     // pass is equivalent. Processes activated this round consume their
     // reception through on_activate, so only nodes noisy *before* this
-    // round's activations get the silence delivery. ---
+    // round's activations get the silence delivery; that pass also drops
+    // the nodes whose hint has left All. ---
     if (record_trace) record.receptions.assign(un, kSilence);
     const std::size_t noisy_before = noisy.size();
     std::size_t replans = due.size();
@@ -501,7 +581,7 @@ SimResult Simulator::run() {
       ++replans;
     };
     for (std::size_t i = 0; i < touched.size(); ++i) {
-      prefetch_process(touched, i);
+      prefetch_process(touched, i, /*skip_final=*/true);
       const NodeId v = touched[i];
       const auto uv = static_cast<std::size_t>(v);
       const ArrivalSlot& slot = arrival[uv];
@@ -531,17 +611,16 @@ SimResult Simulator::run() {
           }
           break;
       }
-      Process& p = *proc_at[uv];
-      if (awake[uv]) {
-        if (!transparent[uv] || !rec.is_silence()) {
-          p.on_receive(round, rec);
-          replan(v, p);
-        }
-      } else if (rec.is_message()) {
+      const std::uint8_t h = hears[uv] & (kHintMask | kAsleep);
+      if (h == kAll || (h == kNonSilence && !rec.is_silence())) {
+        Process& p = *proc_at[uv];
+        p.on_receive(round, rec);
+        read_hint(v, p);
+        replan(v, p);
+      } else if (h == kAsleep && rec.is_message()) {
+        Process& p = *proc_at[uv];
         p.on_activate(round, rec.message);
-        awake[uv] = 1;
-        transparent[uv] = p.silence_transparent() ? 1 : 0;
-        if (!transparent[uv]) noisy.push_back(v);
+        read_hint(v, p);
         replan(v, p);
       }
       if (rec.has_token()) {
@@ -565,13 +644,23 @@ SimResult Simulator::run() {
       }
       if (record_trace) record.receptions[uv] = std::move(rec);
     }
+    std::size_t kept = 0;
     for (std::size_t i = 0; i < noisy_before; ++i) {
       const NodeId v = noisy[i];
       const auto uv = static_cast<std::size_t>(v);
+      if ((hears[uv] & kHintMask) != kAll) {
+        hears[uv] &= static_cast<std::uint8_t>(~kListed);
+        continue;
+      }
+      noisy[kept++] = v;
       if ((arrival[uv].mark & ~std::uint64_t{3}) == live) continue;  // touched
-      proc_at[uv]->on_receive(round, kSilence);
-      replan(v, *proc_at[uv]);
+      Process& p = *proc_at[uv];
+      p.on_receive(round, kSilence);
+      read_hint(v, p);
+      replan(v, p);
     }
+    noisy.erase(noisy.begin() + static_cast<std::ptrdiff_t>(kept),
+                noisy.begin() + static_cast<std::ptrdiff_t>(noisy_before));
     // This round's coverage delta, ascending: the reference engine's node
     // scan is the on_round_end contract.
     std::sort(next_delta.begin(), next_delta.end());

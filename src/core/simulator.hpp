@@ -27,7 +27,7 @@
 /// Implementation: a sparse engine (simulator.cpp) built on a frozen CSR
 /// adjacency snapshot, epoch-stamped arrival slots with a touched-node list,
 /// and calendar-based send scheduling driven by the optional
-/// Process::next_send_round / silence_transparent hints — a round costs
+/// Process::next_send_round / hearing hints — a round costs
 /// O(#polled senders + #deliveries) rather than O(n), which is what makes
 /// 10^5-node executions practical. The original dense engine survives as
 /// run_broadcast_reference (core/reference_engine.hpp) and is held

@@ -83,7 +83,7 @@ class DecayMacProcess final : public Process, public AbstractMac {
       const auto latency = static_cast<double>(round - active_bcast_round_);
       ++acks_;
       ack_max_ = std::max(ack_max_, latency);
-      // lint: fp-ok (per-process state, updated in round order by one shard)
+      // lint: fp-ok (per-process state, updated in round order)
       ack_sum_ += latency;
       if (queue_.empty()) {
         active_.reset();

@@ -1,13 +1,17 @@
 #include "serve/faultline.hpp"
 
 #include <charconv>
-#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <utility>
+
+#include "campaign/jsonl.hpp"
 
 namespace dualrad::serve {
 
 namespace {
+
+namespace jsonl = campaign::jsonl;
 
 // Site salts for the counter RNG: one stream per injection site, all derived
 // from the plan seed.
@@ -18,40 +22,26 @@ constexpr std::uint64_t kLifecycleSalt = 3;
 
 [[nodiscard]] double parse_probability(const std::string& key,
                                        const std::string& text) {
-  std::size_t pos = 0;
-  double p = 0.0;
-  try {
-    p = std::stod(text, &pos);
-  } catch (const std::exception&) {
+  const std::optional<double> p = jsonl::parse_number<double>(text);
+  if (!p) {
     throw std::invalid_argument("dualrad: fault spec: bad number for '" + key +
                                 "': " + text);
   }
-  if (pos != text.size()) {
-    throw std::invalid_argument("dualrad: fault spec: trailing junk in '" +
-                                key + "=" + text + "'");
-  }
-  if (!(p >= 0.0 && p <= 1.0)) {  // NaN fails both comparisons
+  if (!(*p >= 0.0 && *p <= 1.0)) {  // NaN fails both comparisons
     throw std::invalid_argument("dualrad: fault spec: probability for '" +
                                 key + "' must be in [0,1], got " + text);
   }
-  return p;
+  return *p;
 }
 
 [[nodiscard]] int parse_millis(const std::string& key,
                                const std::string& text) {
-  std::size_t pos = 0;
-  long ms = 0;
-  try {
-    ms = std::stol(text, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("dualrad: fault spec: bad millis for '" + key +
-                                "': " + text);
-  }
-  if (pos != text.size() || ms < 0 || ms > 60'000) {
+  const std::optional<int> ms = jsonl::parse_number<int>(text);
+  if (!ms || *ms < 0 || *ms > 60'000) {
     throw std::invalid_argument("dualrad: fault spec: millis for '" + key +
                                 "' must be in [0,60000], got " + text);
   }
-  return static_cast<int>(ms);
+  return *ms;
 }
 
 /// "P" or "P:MILLIS" for delay= / stall=.
@@ -120,17 +110,12 @@ FaultPlan parse_fault_plan(const std::string& spec) {
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
     if (key == "seed") {
-      // Digits only: stoull would accept a sign (wrapping -1 to 2^64-1)
-      // and ignore trailing junk.
-      try {
-        if (value.empty() ||
-            value.find_first_not_of("0123456789") != std::string::npos) {
-          throw std::invalid_argument(value);
-        }
-        plan.seed = std::stoull(value);
-      } catch (const std::exception&) {
+      const std::optional<std::uint64_t> seed =
+          jsonl::parse_number<std::uint64_t>(value);
+      if (!seed) {
         throw std::invalid_argument("dualrad: fault spec: bad seed: " + value);
       }
+      plan.seed = *seed;
     } else if (key == "drop") {
       plan.drop = parse_probability(key, value);
     } else if (key == "corrupt") {

@@ -129,8 +129,7 @@ std::string Server::handle_message(const std::string& payload,
       return error_reply(error);
     }
     const auto trial = [&](const char* key) {
-      return static_cast<std::uint32_t>(
-          jsonl::to_u64(jsonl::field(payload, key)));
+      return jsonl::to_int<std::uint32_t>(jsonl::field(payload, key));
     };
     const Coordinator::Seal outcome =
         coordinator_.seal(jsonl::field(payload, "scenario"),
@@ -193,7 +192,7 @@ std::string Server::handle_message(const std::string& payload,
     }
     std::size_t trials = coordinator_.config().trials_override;
     if (const auto v = jsonl::field_opt(payload, "trials")) {
-      trials = static_cast<std::size_t>(jsonl::to_u64(*v));
+      trials = jsonl::to_int<std::size_t>(*v);
     }
     coordinator_.configure_campaign(seed, trials);
     coordinator_.load_campaign(scenarios);

@@ -327,10 +327,10 @@ WorkerStats run_worker(const std::function<int()>& connect,
 
     const std::uint64_t unit = jsonl::to_u64(jsonl::field(*reply, "unit"));
     const std::string scenario_name(jsonl::field(*reply, "scenario"));
-    const std::uint32_t trial_begin = static_cast<std::uint32_t>(
-        jsonl::to_u64(jsonl::field(*reply, "trial_begin")));
-    const std::uint32_t trial_end = static_cast<std::uint32_t>(
-        jsonl::to_u64(jsonl::field(*reply, "trial_end")));
+    const auto trial_begin =
+        jsonl::to_int<std::uint32_t>(jsonl::field(*reply, "trial_begin"));
+    const auto trial_end =
+        jsonl::to_int<std::uint32_t>(jsonl::field(*reply, "trial_end"));
     const std::uint64_t master_seed =
         jsonl::to_u64(jsonl::field(*reply, "master_seed"));
     const bool telemetry =

@@ -417,23 +417,53 @@ void expect_hints_cover_sends(const Process& proc, Round from, Round window,
   }
 }
 
-/// silence_transparent() claims silence receptions are no-ops: feeding one
-/// must leave the observable schedule (actions and hints) unchanged.
-void expect_silence_transparent(const Process& proc, Round at, Round window,
-                                const std::string& label) {
-  if (!proc.silence_transparent()) return;
-  const auto muted = proc.clone();
-  muted->on_receive(at, Reception::silence());
-  for (Round r = at + 1; r < at + 1 + window; ++r) {
-    const Action a = proc.next_action(r);
-    const Action b = muted->next_action(r);
-    EXPECT_EQ(a.send, b.send) << label << " round " << r;
-    if (a.send && b.send) {
-      EXPECT_EQ(a.message, b.message) << label;
+/// The hearing() hint claims the receptions it excludes are no-ops: feeding
+/// one must leave the observable behavior — actions, hints and exported
+/// metrics — unchanged. NonSilence is checked against silence; None against
+/// silence, a collision, the token and a foreign token.
+void expect_hearing_sound(const Process& proc, Round at, Round window,
+                          const std::string& label) {
+  std::vector<std::pair<std::string, Reception>> ignored;
+  switch (proc.hearing()) {
+    case Hearing::All:
+      return;
+    case Hearing::None:
+      ignored = {
+          {"collision", Reception::collision()},
+          {"token", Reception::of(Message{kBroadcastToken, /*origin=*/2,
+                                          /*round_tag=*/at, /*payload=*/3})},
+          {"foreign-token",
+           Reception::of(Message{/*token=*/7, /*origin=*/4,
+                                 /*round_tag=*/at, /*payload=*/5})},
+      };
+      [[fallthrough]];
+    case Hearing::NonSilence:
+      ignored.emplace_back("silence", Reception::silence());
+      break;
+  }
+  for (const auto& [kind, rec] : ignored) {
+    const std::string where = label + "/" + kind;
+    const auto heard = proc.clone();
+    heard->on_receive(at, rec);
+    for (Round r = at + 1; r < at + 1 + window; ++r) {
+      const Action a = proc.next_action(r);
+      const Action b = heard->next_action(r);
+      EXPECT_EQ(a.send, b.send) << where << " round " << r;
+      if (a.send && b.send) {
+        EXPECT_EQ(a.message, b.message) << where;
+      }
+    }
+    EXPECT_EQ(proc.next_send_round(at + 1), heard->next_send_round(at + 1))
+        << where;
+    EXPECT_EQ(heard->hearing(), proc.hearing()) << where;
+    const std::vector<ProcessMetric> before = proc.final_metrics();
+    const std::vector<ProcessMetric> after = heard->final_metrics();
+    ASSERT_EQ(before.size(), after.size()) << where;
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      EXPECT_EQ(before[i].name, after[i].name) << where;
+      EXPECT_EQ(before[i].value, after[i].value) << where;
     }
   }
-  EXPECT_EQ(proc.next_send_round(at + 1), muted->next_send_round(at + 1))
-      << label;
 }
 
 /// Property harness: drive processes of every algorithm through randomized
@@ -467,7 +497,7 @@ void check_hint_soundness(const std::string& name,
     }
     Round now = wake + 1;
     expect_hints_cover_sends(*proc, now, kWindow, label + "/awake");
-    expect_silence_transparent(*proc, now, kWindow / 2, label + "/awake");
+    expect_hearing_sound(*proc, now, kWindow / 2, label + "/awake");
 
     // A few receptions: collisions and silences (no-ops for token state),
     // then the token, then more noise — re-verifying after each.
@@ -484,8 +514,8 @@ void check_hint_soundness(const std::string& name,
       proc->on_receive(now, rec);
       expect_hints_cover_sends(*proc, now + 1, kWindow,
                                label + "/step=" + std::to_string(step));
-      expect_silence_transparent(*proc, now + 1, kWindow / 2,
-                                 label + "/step=" + std::to_string(step));
+      expect_hearing_sound(*proc, now + 1, kWindow / 2,
+                           label + "/step=" + std::to_string(step));
       // Also from a later round than the transition (memo fast paths).
       const Round later = now + 1 + static_cast<Round>(rng.below(40));
       expect_hints_cover_sends(*proc, later, kWindow / 2,

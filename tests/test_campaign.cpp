@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -11,6 +12,7 @@
 #include "campaign/builtin_scenarios.hpp"
 #include "campaign/engine.hpp"
 #include "campaign/export.hpp"
+#include "campaign/jsonl.hpp"
 #include "campaign/registry.hpp"
 #include "graph/dual_builders.hpp"
 
@@ -371,6 +373,64 @@ TEST(CampaignExport, ParsersRejectTruncatedAndNonNumericRows) {
   EXPECT_THROW((void)trials_from_csv(
                    "scenario,trial,seed,completed,rounds,rounds_executed,"
                    "sends,collisions,tokens\ntest/x,0,5,1,10,10,3,0,1,42\n"),
+               std::invalid_argument);
+}
+
+TEST(CampaignExport, ParsersRejectSignsJunkAndOutOfRangeNumbers) {
+  // A number field is the whole field: no sign on an unsigned value, no
+  // surrounding whitespace or trailing junk, and in range for the type it
+  // lands in — never a wrapped or truncated plausible value.
+  EXPECT_THROW((void)jsonl::to_u64("-1"), std::invalid_argument);
+  EXPECT_THROW((void)jsonl::to_u64("12abc"), std::invalid_argument);
+  EXPECT_THROW((void)jsonl::to_ll(" 7x"), std::invalid_argument);
+  EXPECT_THROW((void)jsonl::to_ll(" 7"), std::invalid_argument);
+  EXPECT_THROW((void)jsonl::to_u64("+7"), std::invalid_argument);
+  EXPECT_THROW((void)jsonl::to_u64(""), std::invalid_argument);
+  EXPECT_THROW((void)jsonl::to_u64("18446744073709551616"),
+               std::invalid_argument);
+  EXPECT_THROW((void)jsonl::to_int<std::uint32_t>("4294967296"),
+               std::invalid_argument);
+  EXPECT_EQ(jsonl::to_ll("-5"), -5);
+  EXPECT_EQ(jsonl::to_u64("18446744073709551615"), ~std::uint64_t{0});
+  EXPECT_EQ(jsonl::to_int<std::uint32_t>("4294967295"), 4294967295u);
+
+  const auto jsonl_row = [](const std::string& trial, const std::string& seed,
+                            const std::string& rounds) {
+    return "{\"scenario\":\"test/x\",\"trial\":" + trial +
+           ",\"seed\":" + seed + ",\"completed\":true,\"rounds\":" +
+           rounds +
+           ",\"rounds_executed\":10,\"sends\":3,\"collisions\":0,"
+           "\"tokens\":1}\n";
+  };
+  const auto csv_row = [](const std::string& trial, const std::string& seed,
+                          const std::string& rounds) {
+    return "scenario,trial,seed,completed,rounds,rounds_executed,sends,"
+           "collisions,tokens\ntest/x," +
+           trial + "," + seed + ",1," + rounds + ",10,3,0,1\n";
+  };
+  EXPECT_EQ(trials_from_jsonl(jsonl_row("4294967295", "5", "10"))[0].trial,
+            4294967295u);
+  EXPECT_EQ(trials_from_csv(csv_row("0", "5", "-1"))[0].rounds, -1);
+  const std::vector<std::array<std::string, 3>> bad = {
+      {"-1", "5", "10"},          {"0", "-1", "10"},
+      {"12abc", "5", "10"},       {"0", "12abc", "10"},
+      {"0", "5", " 7x"},          {"4294967296", "5", "10"},
+  };
+  for (const auto& [trial, seed, rounds] : bad) {
+    const std::string label = trial + "/" + seed + "/" + rounds;
+    EXPECT_THROW((void)trials_from_jsonl(jsonl_row(trial, seed, rounds)),
+                 std::invalid_argument)
+        << label;
+    EXPECT_THROW((void)trials_from_csv(csv_row(trial, seed, rounds)),
+                 std::invalid_argument)
+        << label;
+  }
+  EXPECT_THROW((void)telemetry_from_jsonl(
+                   "{\"scenario\":\"test/x\",\"trial\":4294967296}\n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)telemetry_from_jsonl(
+                   "{\"scenario\":\"test/x\",\"trial\":0,"
+                   "\"poll_ns\":-1}\n"),
                std::invalid_argument);
 }
 

@@ -438,13 +438,19 @@ TEST(EngineEquivalence, TelemetryDoesNotPerturbResults) {
 }
 
 /// A relay whose send rounds are a pseudo-random function of (id, round,
-/// messages heard), announced by an exact next_send_round hint 1-11 rounds
-/// ahead. Every message heard reshuffles the schedule, so the engine's
-/// calendar buckets fill from many planning rounds — poll replans in node
-/// order, reception replans in arrival order — and pop in no node order.
-/// Nodes without a token transmit noise (kNoToken), which keeps collisions
-/// frequent; odd ids leave silence_transparent off to exercise the noisy
-/// delivery path. `polls` (shared by every process of one run) logs each
+/// receptions counted), announced by an exact next_send_round hint 1-11
+/// rounds ahead. Every counted reception reshuffles the schedule, so the
+/// engine's calendar buckets fill from many planning rounds — poll replans
+/// in node order, reception replans in arrival order — and pop in no node
+/// order. Nodes without a token transmit noise (kNoToken), which keeps
+/// collisions frequent. The hearing() hint depends on id and state, so
+/// every delivery path of the engine is reached:
+///   id % 4 == 0  NonSilence throughout;
+///   id % 4 == 1  All (silence counts too) until saturated, then None;
+///   id % 4 == 2  NonSilence until saturated, then None;
+///   id % 4 == 3  NonSilence until it first hears something, then All.
+/// Saturated processes (kCap receptions counted) ignore everything, tokens
+/// included. `polls` (shared by every process of one run) logs each
 /// next_action call as (round, pid).
 class ScrambledHintProcess final : public Process {
  public:
@@ -466,23 +472,39 @@ class ScrambledHintProcess final : public Process {
   }
   void on_receive(Round round, const Reception& reception) override {
     (void)round;
-    if (!reception.is_message()) return;
+    const Hearing hint = hearing();
+    if (hint == Hearing::None) return;
+    if (reception.is_silence() && hint != Hearing::All) return;
     ++heard_;
-    if (token_ == kNoToken) token_ = reception.message->token;
+    if (reception.is_message() && token_ == kNoToken) {
+      token_ = reception.message->token;
+    }
   }
   [[nodiscard]] Round next_send_round(Round from) const override {
     Round r = from;
     while (!sends_at(r)) ++r;
     return r;
   }
-  [[nodiscard]] bool silence_transparent() const override {
-    return id() % 2 == 0;
+  [[nodiscard]] Hearing hearing() const override {
+    const bool saturated = heard_ >= kCap;
+    switch (id() % 4) {
+      case 0:
+        return Hearing::NonSilence;
+      case 1:
+        return saturated ? Hearing::None : Hearing::All;
+      case 2:
+        return saturated ? Hearing::None : Hearing::NonSilence;
+      default:
+        return heard_ == 0 ? Hearing::NonSilence : Hearing::All;
+    }
   }
   [[nodiscard]] std::unique_ptr<Process> clone() const override {
     return std::make_unique<ScrambledHintProcess>(*this);
   }
 
  private:
+  static constexpr std::uint64_t kCap = 6;
+
   [[nodiscard]] bool sends_at(Round r) const {
     return rng_.below(6, r, heard_) == 0;
   }
@@ -534,11 +556,57 @@ class OrderCheckingAdversary final : public Adversary {
   NodeId last_resolved_ = -1;
 };
 
+/// Runs ScrambledHintProcess on both engines under `config` and checks
+/// that each round's polls come in strictly ascending node order (identity
+/// process mapping: pid == node) and that the results are bit-identical.
+/// Returns the most polls any round made on the sparse engine.
+std::size_t expect_scrambled_identical(const DualGraph& net,
+                                       const SimConfig& config,
+                                       const std::string& label) {
+  SimResult results[2];
+  std::size_t max_round_polls = 0;
+  for (const bool reference : {false, true}) {
+    auto polls = std::make_shared<ScrambledHintProcess::PollLog>();
+    const ProcessFactory factory = [polls](ProcessId id, NodeId n,
+                                           std::uint64_t seed) {
+      (void)n;
+      return std::make_unique<ScrambledHintProcess>(id, seed, polls);
+    };
+    OrderCheckingAdversary adversary(config.seed);
+    results[reference ? 1 : 0] =
+        reference ? run_broadcast_reference(net, factory, adversary, config)
+                  : run_broadcast(net, factory, adversary, config);
+    EXPECT_GT(adversary.rounds_with_senders, 0u) << label;
+    if (config.rule == CollisionRule::CR4) {
+      EXPECT_GT(adversary.resolutions, 0u) << label;
+    }
+    std::size_t run = 1;
+    for (std::size_t i = 1; i < polls->size(); ++i) {
+      if ((*polls)[i].first != (*polls)[i - 1].first) {
+        run = 1;
+        continue;
+      }
+      EXPECT_LT((*polls)[i - 1].second, (*polls)[i].second)
+          << label << (reference ? "/reference" : "") << " round "
+          << (*polls)[i].first;
+      if (!reference) max_round_polls = std::max(max_round_polls, ++run);
+    }
+  }
+  EXPECT_GT(results[0].total_collision_events, 0u) << label;
+  expect_identical(results[0], results[1], label);
+  if (config.byzantine != nullptr) {
+    EXPECT_FALSE(results[0].forged_tokens.empty()) << label;
+  }
+  return max_round_polls;
+}
+
 TEST(EngineEquivalence, ScrambledCalendarOrderPollsInNodeOrder) {
   // The sparse engine sorts each round's calendar pops before polling, so
   // process calls, senders and everything downstream run in node order no
-  // matter how hints and reception replans scrambled the buckets. Pinned
-  // against the reference engine under CR4 with collisions, and under a
+  // matter how hints and reception replans scrambled the buckets, and it
+  // delivers each node only the receptions its hearing() hint admits —
+  // including hints that move between All, NonSilence and None. Pinned
+  // against the reference engine under CR1-CR4 with collisions, and under a
   // forging Byzantine plan whose rewrite_senders removes every forger's
   // protocol sends and adds its forged injections.
   const DualGraph layered = duals::layered_sparse(
@@ -550,51 +618,46 @@ TEST(EngineEquivalence, ScrambledCalendarOrderPollsInNodeOrder) {
     const byz::ByzantinePlan plan = byz::make_random_plan(
         *net, /*f=*/1, /*count=*/4, byz::ByzBehavior::Forge, {}, 0xF00D);
     ASSERT_GE(plan.faults().size(), 1u);
-    for (const bool byzantine : {false, true}) {
-      for (const StartRule start :
-           {StartRule::Synchronous, StartRule::Asynchronous}) {
-        SimConfig config;
-        config.rule = CollisionRule::CR4;
-        config.start = start;
-        config.max_rounds = 400;
-        config.seed = mix_seed(77, static_cast<std::uint64_t>(start));
-        config.trace = TraceLevel::Compressed;
-        if (byzantine) config.byzantine = &plan;
-        const std::string label =
-            "scrambled/" + tag + (byzantine ? "/forge" : "") +
-            (start == StartRule::Synchronous ? "/sync" : "/async");
-
-        SimResult results[2];
-        for (const bool reference : {false, true}) {
-          auto polls = std::make_shared<ScrambledHintProcess::PollLog>();
-          const ProcessFactory factory = [polls](ProcessId id, NodeId n,
-                                                 std::uint64_t seed) {
-            (void)n;
-            return std::make_unique<ScrambledHintProcess>(id, seed, polls);
-          };
-          OrderCheckingAdversary adversary(config.seed);
-          results[reference ? 1 : 0] =
-              reference
-                  ? run_broadcast_reference(*net, factory, adversary, config)
-                  : run_broadcast(*net, factory, adversary, config);
-          EXPECT_GT(adversary.rounds_with_senders, 0u) << label;
-          EXPECT_GT(adversary.resolutions, 0u) << label;
-          // Identity process mapping: pid == node, so each round's polls
-          // must name strictly ascending nodes.
-          for (std::size_t i = 1; i < polls->size(); ++i) {
-            if ((*polls)[i].first != (*polls)[i - 1].first) continue;
-            EXPECT_LT((*polls)[i - 1].second, (*polls)[i].second)
-                << label << (reference ? "/reference" : "")
-                << " round " << (*polls)[i].first;
-          }
+    for (const CollisionRule rule : {CollisionRule::CR1, CollisionRule::CR2,
+                                     CollisionRule::CR3, CollisionRule::CR4}) {
+      for (const bool byzantine : {false, true}) {
+        for (const StartRule start :
+             {StartRule::Synchronous, StartRule::Asynchronous}) {
+          SimConfig config;
+          config.rule = rule;
+          config.start = start;
+          config.max_rounds = 400;
+          config.seed = mix_seed(77, static_cast<std::uint64_t>(start));
+          config.trace = TraceLevel::Compressed;
+          if (byzantine) config.byzantine = &plan;
+          expect_scrambled_identical(
+              *net, config,
+              "scrambled/" + tag + "/" + std::string(to_string(rule)) +
+                  (byzantine ? "/forge" : "") +
+                  (start == StartRule::Synchronous ? "/sync" : "/async"));
         }
-        EXPECT_GT(results[0].total_collision_events, 0u) << label;
-        if (byzantine) {
-          EXPECT_FALSE(results[0].forged_tokens.empty()) << label;
-        }
-        expect_identical(results[0], results[1], label);
       }
     }
+  }
+}
+
+TEST(EngineEquivalence, ScrambledCalendarAboveRadixThreshold) {
+  // Synchronous start on 4096 nodes pops several hundred nodes a round:
+  // far past the sparse engine's std::sort cut-over, so the radix sort of
+  // the pops over both digits of the node ids is what orders them.
+  const DualGraph wide = duals::layered_sparse(
+      {.layers = 8, .width = 512, .fwd_degree = 3, .unreliable_degree = 2,
+       .seed = 11});
+  for (const CollisionRule rule : {CollisionRule::CR2, CollisionRule::CR4}) {
+    SimConfig config;
+    config.rule = rule;
+    config.start = StartRule::Synchronous;
+    config.max_rounds = 40;
+    config.seed = 0x5EED;
+    config.trace = TraceLevel::Compressed;
+    const std::size_t max_round_polls = expect_scrambled_identical(
+        wide, config, "wide/" + std::string(to_string(rule)));
+    EXPECT_GE(max_round_polls, 512u) << to_string(rule);
   }
 }
 

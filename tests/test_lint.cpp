@@ -347,6 +347,37 @@ TEST(LintUnboundedRetry, AnnotationAndWrappersEscape) {
   EXPECT_TRUE(run_lint("src/serve/worker.cpp", ok).empty());
 }
 
+// --- lenient-parse ---------------------------------------------------------
+
+TEST(LintLenientParse, FlagsStoAtoAndStrtoUnderSrc) {
+  const std::string text =
+      "auto a = std::stoull(s);\n"
+      "auto b = std::stod(s, &pos);\n"
+      "int c = atoi(p);\n"
+      "long d = ::strtol(p, nullptr, 10);\n"
+      "auto e = std::strtoull(p, &end, 10);\n";
+  const auto fs = run_lint("src/serve/faultline.cpp", text);
+  ASSERT_EQ(fs.size(), 5u);
+  for (const lint::Finding& f : fs) EXPECT_EQ(f.rule, "lenient-parse");
+}
+
+TEST(LintLenientParse, OnlyAppliesToSrc) {
+  const std::string text = "auto seed = std::stoull(*v);\n";
+  EXPECT_TRUE(run_lint("tools/dualrad_campaign.cpp", text).empty());
+  EXPECT_TRUE(run_lint("tests/test_campaign.cpp", text).empty());
+  EXPECT_FALSE(run_lint("src/campaign/export.cpp", text).empty());
+}
+
+TEST(LintLenientParse, AnnotationFromCharsAndLookalikesEscape) {
+  const std::string ok =
+      "// a flag, not a file field. lint: parse-ok\n"
+      "long a = std::stol(flag);\n"
+      "std::from_chars(s.data(), s.data() + s.size(), v);\n"
+      "int stoi_calls = restore(stold_value);\n"
+      "const char* h = \"atoi(s)\";\n";
+  EXPECT_TRUE(run_lint("src/campaign/jsonl.hpp", ok).empty());
+}
+
 // --- allowlist -------------------------------------------------------------
 
 TEST(LintAllowlist, ParseSkipsCommentsAndBlanks) {
@@ -386,7 +417,7 @@ TEST(LintAllowlist, AllowedFindingsDoNotFail) {
 // --- rule table ------------------------------------------------------------
 
 TEST(LintRules, TableIsComplete) {
-  ASSERT_EQ(lint::rules().size(), 8u);
+  ASSERT_EQ(lint::rules().size(), 9u);
   for (const lint::Rule& r : lint::rules()) {
     EXPECT_FALSE(r.id.empty());
     EXPECT_FALSE(r.summary.empty());
@@ -415,6 +446,7 @@ const std::map<std::string, std::size_t> kFixtureExpectations = {
     {"src/campaign/thread_detach.cpp", 1},
     {"src/serve/checkpoint_buffered.cpp", 2},
     {"src/serve/retry_sleep.cpp", 2},
+    {"src/campaign/lenient_parse.cpp", 3},
     {"src/obs/sampling_ok.cpp", 0},
     {"src/core/clean.cpp", 0},
 };

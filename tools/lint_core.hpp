@@ -43,6 +43,10 @@
 ///                          in the serve stack must be a bounded, jittered
 ///                          backoff (or a cooperative stop-checking wait),
 ///                          never a naked sleep inside a retry loop.
+///   lenient-parse          std::sto* / ato* / strto* under src/ — they
+///                          skip whitespace, wrap a sign on unsigned types
+///                          and stop at junk, so a malformed field from disk
+///                          or the wire parses as a plausible value.
 ///
 /// Deliberately lightweight: a comment/string-stripping scanner plus a small
 /// amount of per-file identifier tracking — no libclang, no build, runs over
@@ -129,6 +133,15 @@ inline const std::vector<Rule>& rules() {
        "wait via sleep_checking_stop with a reconnect_backoff_delay (bounded "
        "exponential + deterministic jitter), or annotate the primitive with "
        "'// lint: backoff-ok (<why the wait is bounded>)'"},
+      {"lenient-parse", "lint: parse-ok",
+       "lenient number parsing under src/",
+       "std::sto*/ato*/strto* skip leading whitespace, accept a sign on "
+       "unsigned types (wrapping -1 to 2^64-1) and stop at trailing junk, so "
+       "a malformed field from disk or the wire becomes a plausible value "
+       "instead of an error",
+       "parse the whole field with std::from_chars (jsonl::to_int in "
+       "campaign/jsonl.hpp), or annotate with "
+       "'// lint: parse-ok (<why leniency is harmless>)'"},
   };
   return table;
 }
@@ -429,6 +442,7 @@ class Linter {
     check_thread_detach(path, lines);
     check_checkpoint_durability(path, lines);
     check_unbounded_retry(path, lines);
+    check_lenient_parse(path, lines);
   }
 
   [[nodiscard]] const std::vector<Finding>& findings() const {
@@ -851,6 +865,27 @@ class Linter {
       if (what != nullptr) {
         report("unbounded-retry", path, i + 1, lines,
                std::string(what) + " without bounded backoff");
+      }
+    }
+  }
+
+  // --- lenient-parse -------------------------------------------------------
+
+  void check_lenient_parse(std::string_view path,
+                           const std::vector<SourceLine>& lines) {
+    if (path.rfind("src/", 0) != 0) return;
+    static constexpr std::string_view kLenient[] = {
+        "stoi",    "stol",    "stoll",   "stoul",    "stoull",    "stof",
+        "stod",    "stold",   "atoi",    "atol",     "atoll",     "atof",
+        "strtol",  "strtoll", "strtoul", "strtoull", "strtof",    "strtod",
+        "strtold", "strtoq",  "strtouq", "strtoimax", "strtoumax"};
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      for (const std::string_view name : kLenient) {
+        if (has_call(lines[i].code, name)) {
+          report("lenient-parse", path, i + 1, lines,
+                 std::string(name) + "() accepts signs, whitespace and junk");
+          break;
+        }
       }
     }
   }

@@ -46,14 +46,15 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "campaign/builtin_scenarios.hpp"
 #include "campaign/engine.hpp"
+#include "campaign/jsonl.hpp"
 #include "core/reference_engine.hpp"
 #include "core/rng.hpp"
 #include "core/simulator.hpp"
 #include "obs/rss.hpp"
 #include "obs/telemetry.hpp"
+#include "stats/table.hpp"
 
 #ifndef DUALRAD_BUILD_FLAGS
 #define DUALRAD_BUILD_FLAGS "unknown"
@@ -220,6 +221,12 @@ int main(int argc, char** argv) {
   double max_rss_mb = 0.0;  // 0 = no ceiling
   std::string filter;
   std::string out_path = "BENCH_engine.json";
+  const auto usage = [] {
+    std::cerr << "usage: bench_engine_scaling [--quick] [--repeat=N] "
+                 "[--filter=SUBSTR] [--max-rss-mb=N] [--telemetry] "
+                 "[--out=PATH]\n";
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
@@ -227,24 +234,25 @@ int main(int argc, char** argv) {
     } else if (arg == "--telemetry") {
       with_telemetry = true;
     } else if (arg.rfind("--repeat=", 0) == 0) {
-      repeat = std::max<std::size_t>(std::stoul(arg.substr(9)), 1);
+      if (!campaign::jsonl::parse_into(arg.substr(9), repeat)) return usage();
+      repeat = std::max<std::size_t>(repeat, 1);
     } else if (arg.rfind("--filter=", 0) == 0) {
       filter = arg.substr(9);
     } else if (arg.rfind("--max-rss-mb=", 0) == 0) {
-      max_rss_mb = std::stod(arg.substr(13));
+      if (!campaign::jsonl::parse_into(arg.substr(13), max_rss_mb) ||
+          !(max_rss_mb >= 0)) {
+        return usage();
+      }
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else {
-      std::cerr << "usage: bench_engine_scaling [--quick] [--repeat=N] "
-                   "[--filter=SUBSTR] [--max-rss-mb=N] [--telemetry] "
-                   "[--out=PATH]\n";
-      return 2;
+      return usage();
     }
   }
 
-  benchutil::print_header(
-      "ENGINE", "sparse CSR engine vs dense reference",
-      "rounds/sec gap grows with n; >= 5x on the 10k benign points");
+  std::cout << "\n=== ENGINE: sparse CSR engine vs dense reference ===\n"
+               "expectation: rounds/sec gap grows with n; >= 5x on the 10k "
+               "benign points\n\n";
 
   const campaign::ScenarioRegistry registry = campaign::builtin_registry();
   std::vector<campaign::Scenario> points = registry.match("scale");

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 
-#include "adversary/basic_adversaries.hpp"
-#include "adversary/greedy_blocker.hpp"
-#include "byz/byz_scenarios.hpp"
 #include "algorithms/cms_oblivious.hpp"
-#include "algorithms/decay.hpp"
-#include "algorithms/harmonic.hpp"
-#include "algorithms/round_robin_bcast.hpp"
-#include "algorithms/strong_select.hpp"
 #include "algorithms/uniform_gossip.hpp"
-#include "graph/dual_builders.hpp"
+#include "byz/byz_scenarios.hpp"
+#include "campaign/builders.hpp"
+#include "campaign/paper_scenarios.hpp"
 #include "graph/generators.hpp"
 #include "mac/mac_scenarios.hpp"
 
@@ -19,18 +14,10 @@ namespace dualrad::campaign {
 
 namespace {
 
+using namespace builders;
+
 // Network builders. Sizes are chosen so the full catalogue runs in seconds
 // to low minutes; the campaign CLI's --trials flag scales sampling up.
-
-[[nodiscard]] NetworkBuilder layered(NodeId layers, NodeId width) {
-  return [layers, width] {
-    return duals::layered_complete_gprime(layers, width);
-  };
-}
-
-[[nodiscard]] NetworkBuilder classical_bridge(NodeId n) {
-  return [n] { return duals::strip_unreliable(duals::bridge_network(n)); };
-}
 
 [[nodiscard]] NetworkBuilder gray_zone(NodeId n, std::uint64_t seed) {
   return [n, seed] {
@@ -67,30 +54,6 @@ namespace {
 
 // Algorithm builders.
 
-[[nodiscard]] AlgorithmBuilder round_robin() {
-  return [](const DualGraph& net) {
-    return make_round_robin_factory(net.node_count());
-  };
-}
-
-[[nodiscard]] AlgorithmBuilder strong_select() {
-  return [](const DualGraph& net) {
-    return make_strong_select_factory(net.node_count());
-  };
-}
-
-[[nodiscard]] AlgorithmBuilder harmonic(double eps = 0.1) {
-  return [eps](const DualGraph& net) {
-    return make_harmonic_factory(net.node_count(), {.eps = eps});
-  };
-}
-
-[[nodiscard]] AlgorithmBuilder decay() {
-  return [](const DualGraph& net) {
-    return make_decay_factory(net.node_count());
-  };
-}
-
 /// Duty-cycled Decay (BGI-style bounded windows plus periodic maintenance
 /// beacons): a node runs the decay schedule for `active_phases` phases
 /// after first receiving the token, then for one phase in every
@@ -120,24 +83,6 @@ namespace {
         net.node_count(),
         {.delta = static_cast<NodeId>(net.g_prime_csr().max_in_degree())});
   };
-}
-
-// Adversary factories.
-
-[[nodiscard]] AdversaryFactory benign() {
-  return make_adversary_factory<BenignAdversary>();
-}
-
-[[nodiscard]] AdversaryFactory greedy() {
-  return make_adversary_factory<GreedyBlockerAdversary>();
-}
-
-[[nodiscard]] AdversaryFactory full_interference() {
-  return make_adversary_factory<FullInterferenceAdversary>();
-}
-
-[[nodiscard]] AdversaryFactory bernoulli(double p) {
-  return make_seeded_adversary_factory<BernoulliAdversary>(p);
 }
 
 }  // namespace
@@ -364,6 +309,9 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
 
   // --- Byzantine node faults vs certified propagation (src/byz/). ---
   byz::register_byz_scenarios(registry);
+
+  // --- The paper's tables and figures as sweeps (paper_scenarios.hpp). ---
+  register_paper_scenarios(registry);
 }
 
 ScenarioRegistry builtin_registry() {

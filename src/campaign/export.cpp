@@ -28,7 +28,8 @@ using jsonl::to_u64;
 
 /// Scenario names are validated to a quote-free charset (registry.hpp), so
 /// embedding them verbatim in JSON and CSV is safe; enforce it here for rows
-/// constructed outside a registry.
+/// constructed outside a registry, and on load, so a row no writer could
+/// have produced fails loudly instead of failing at its next export.
 void require_exportable(const std::string& name) {
   DUALRAD_REQUIRE(is_valid_scenario_name(name),
                   "scenario name not exportable: " + name);
@@ -107,7 +108,9 @@ std::string summaries_to_jsonl(const std::vector<ScenarioSummary>& summaries,
     out += ",\"p90_rounds\":" + stat(s.rounds.p90);
     out += ",\"mean_sends\":" + fmt_double(s.mean_sends);
     out += ",\"mean_collisions\":" + fmt_double(s.mean_collisions);
-    if (include_timing) out += ",\"mean_wall_ms\":" + fmt_double(s.mean_wall_ms);
+    if (include_timing) {
+      out += ",\"mean_wall_ms\":" + fmt_double(s.mean_wall_ms);
+    }
     out += "}\n";
   }
   return out;
@@ -150,6 +153,7 @@ std::vector<TrialRow> trials_from_jsonl(const std::string& text) {
     jsonl::require_flat_object(line);
     TrialRow r;
     r.scenario = std::string(field(line, "scenario"));
+    require_exportable(r.scenario);
     r.trial = to_int<std::uint32_t>(field(line, "trial"));
     r.seed = to_u64(field(line, "seed"));
     const std::string_view completed = field(line, "completed");
@@ -197,6 +201,7 @@ std::vector<TrialRow> trials_from_csv(const std::string& text) {
                     "trial CSV row does not match the header: " + line);
     TrialRow r;
     r.scenario = cells[0];
+    require_exportable(r.scenario);
     r.trial = to_int<std::uint32_t>(cells[1]);
     r.seed = to_u64(cells[2]);
     DUALRAD_REQUIRE(cells[3] == "0" || cells[3] == "1",
@@ -248,6 +253,7 @@ std::vector<TelemetryRow> telemetry_from_jsonl(const std::string& text) {
     jsonl::require_flat_object(line);
     TelemetryRow r;
     r.scenario = std::string(field(line, "scenario"));
+    require_exportable(r.scenario);
     r.trial = to_int<std::uint32_t>(field(line, "trial"));
     // Everything else is optional: lines from before a given counter existed
     // (including timing-only legacy rows with just wall_us) parse with that

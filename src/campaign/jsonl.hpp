@@ -68,6 +68,15 @@ template <typename T>
   return value;
 }
 
+/// parse_number into `out` for a command-line flag: returns whether `s`
+/// parsed, and leaves `out` untouched when it did not.
+template <typename T>
+[[nodiscard]] bool parse_into(std::string_view s, T& out) {
+  const std::optional<T> value = parse_number<T>(s);
+  if (value.has_value()) out = *value;
+  return value.has_value();
+}
+
 /// parse_number for a field that must hold a T: anything else throws
 /// std::invalid_argument, so a malformed or out-of-range field never
 /// parses as a plausible value.

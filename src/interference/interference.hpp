@@ -25,7 +25,7 @@
 /// (Appendix A) simulates the interference behavior with a dual-graph
 /// adversary on (G = G_T, G' = G_I) that fires exactly the interference
 /// edges involved in a collision; `InterferenceSimAdversary` implements that
-/// adversary and the tests/benches check round-by-round equivalence.
+/// adversary and test_interference checks round-by-round equivalence.
 
 namespace dualrad {
 

@@ -8,9 +8,9 @@
 /// \file fit.hpp
 /// Growth-shape fitting for the scaling experiments: given (n, rounds)
 /// points, fit rounds ~ c * g(n) for the candidate shapes the paper's bounds
-/// predict and report the best-fitting shape by R^2. This is how the benches
-/// check "who wins, by roughly what factor, where the shape lies" without
-/// matching absolute constants.
+/// predict and report the best-fitting shape by R^2. This is how the paper
+/// checks (test_lowerbound) test "where the shape lies" without matching
+/// absolute constants.
 
 namespace dualrad::stats {
 
@@ -23,7 +23,7 @@ struct ShapeFit {
   double ratio_spread = 0.0;
 };
 
-/// The candidate shapes used throughout the benches.
+/// The candidate shapes, slowest-growing first.
 /// "n", "n log n", "n log^2 n", "n^1.5", "n^1.5 sqrt(log n)", "n^2".
 [[nodiscard]] std::vector<std::string> candidate_shapes();
 

@@ -212,11 +212,12 @@ TEST(TraceCodec, RejectsOutOfRangeNodeIds) {
 }
 
 TEST(TraceCodec, MutatedBlobsDecodeOrThrow) {
-  // Seeded mutation fuzz of the decoder over real engine blobs (CR1, CR2,
-  // CR4, and a forging Byzantine run): byte flips, truncations and
-  // insertions. Every decode — and the audit reading the decoded rounds —
-  // returns or throws std::invalid_argument; anything else, a crash or
-  // sanitizer report (the ASan/UBSan job runs this as is) fails.
+  // Seeded mutation fuzz (testing::mutate) of the decoder over real engine
+  // blobs (CR1, CR2, CR4, and a forging Byzantine run), splicing from the
+  // next blob in the corpus. Every decode — and the audit reading the
+  // decoded rounds — returns or throws std::invalid_argument; anything
+  // else, a crash or sanitizer report (the ASan/UBSan job runs this as is)
+  // fails.
   const DualGraph net = duals::gray_zone({.n = 32, .seed = 6});
   std::vector<std::pair<SimResult, CollisionRule>> corpus;
   for (const CollisionRule rule :
@@ -255,24 +256,9 @@ TEST(TraceCodec, MutatedBlobsDecodeOrThrow) {
     const auto& [original, rule] = corpus[static_cast<std::size_t>(iter) %
                                           corpus.size()];
     SimResult result = original;
-    std::vector<std::uint8_t>& blob = result.trace.blob;
-    for (std::uint64_t m = 1 + rng.below(3); m > 0; --m) {
-      const std::uint64_t at = rng.below(blob.size() + 1);
-      switch (rng.below(3)) {
-        case 0:
-          if (at < blob.size()) {
-            blob[at] ^= static_cast<std::uint8_t>(1 + rng.below(255));
-          }
-          break;
-        case 1:
-          blob.resize(at);
-          break;
-        default:
-          blob.insert(blob.begin() + static_cast<std::ptrdiff_t>(at),
-                      static_cast<std::uint8_t>(rng.below(256)));
-          break;
-      }
-    }
+    testing::mutate(result.trace.blob, rng,
+                    corpus[static_cast<std::size_t>(iter + 1) % corpus.size()]
+                        .first.trace.blob);
     for (std::size_t i = 0; i < result.trace.compressed_rounds(); ++i) {
       try {
         result.trace.decode_compressed(i, net.node_count(), out);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <memory>
@@ -15,6 +16,8 @@
 #include "campaign/jsonl.hpp"
 #include "campaign/registry.hpp"
 #include "graph/dual_builders.hpp"
+#include "serve/checkpoint.hpp"
+#include "test_util.hpp"
 
 namespace dualrad::campaign {
 namespace {
@@ -234,6 +237,58 @@ TEST(BuiltinScenarios, CatalogueHasAtLeastTwelveValidScenarios) {
     EXPECT_TRUE(static_cast<bool>(s.network)) << s.name;
     EXPECT_TRUE(static_cast<bool>(s.algorithm)) << s.name;
     EXPECT_TRUE(static_cast<bool>(s.adversary)) << s.name;
+  }
+}
+
+TEST(BuiltinScenarios, PaperFamilyIsFilterIsolatedAndPure) {
+  // ScenarioRegistry::match is a substring test on names and tags. These
+  // filters are in use elsewhere: the CLI docs and CI (quick, mac, byz,
+  // scale, dual, classical), tests/serve_smoke.sh (harmonic), the byz
+  // thread-invariance test (byz/layered-1k), and every other catalogue name,
+  // which covers each perfbench grid point (its serve-short workload passes
+  // --filter=<scenario name>). A paper/* scenario matching one of them would
+  // silently join those runs; a non-paper one matching "paper/" would join
+  // `--filter=paper/`.
+  const ScenarioRegistry registry = builtin_registry();
+  std::vector<std::string> filters = {"quick", "mac",       "byz",
+                                      "scale", "dual",      "classical",
+                                      "harmonic", "byz/layered-1k"};
+  std::vector<const Scenario*> paper;
+  for (const Scenario& s : registry.all()) {
+    if (s.name.starts_with("paper/")) {
+      paper.push_back(&s);
+    } else {
+      filters.push_back(s.name);
+      EXPECT_EQ(s.name.find("paper/"), std::string::npos) << s.name;
+      for (const std::string& tag : s.tags) {
+        EXPECT_EQ(tag.find("paper/"), std::string::npos) << s.name;
+      }
+    }
+  }
+  ASSERT_GE(paper.size(), 100u);
+  EXPECT_EQ(registry.match("paper/").size(), paper.size());
+  const auto same_rows = [](const CsrGraph& a, const CsrGraph& b) {
+    if (a.node_count() != b.node_count()) return false;
+    for (NodeId u = 0; u < a.node_count(); ++u) {
+      if (!std::ranges::equal(a.row(u), b.row(u))) return false;
+    }
+    return true;
+  };
+  for (const Scenario* s : paper) {
+    for (const std::string& filter : filters) {
+      EXPECT_EQ(s->name.find(filter), std::string::npos)
+          << s->name << " matches " << filter;
+      for (const std::string& tag : s->tags) {
+        EXPECT_EQ(tag.find(filter), std::string::npos)
+            << s->name << " tag " << tag << " matches " << filter;
+      }
+    }
+    // The registry's purity contract: two builds give the same graph.
+    const DualGraph a = s->network();
+    const DualGraph b = s->network();
+    EXPECT_EQ(a.source(), b.source()) << s->name;
+    EXPECT_TRUE(same_rows(a.g_csr(), b.g_csr())) << s->name;
+    EXPECT_TRUE(same_rows(a.g_prime_csr(), b.g_prime_csr())) << s->name;
   }
 }
 
@@ -496,6 +551,77 @@ TEST(CampaignExport, TelemetryParserAcceptsLegacyTimingOnlyRows) {
   ASSERT_EQ(sharded.size(), 1u);
   EXPECT_EQ(sharded[0].poll_ns, 7u);
   EXPECT_EQ(sharded[0].deliver_ns, 5u);
+}
+
+/// Fuzz one loader with testing::mutate: every mutant of `valid` either
+/// loads to rows that save and load back unchanged, or is rejected with
+/// std::invalid_argument. Both outcomes must occur.
+template <class Load, class Save>
+void fuzz_loader(const std::string& valid, Load load, Save save,
+                 std::string_view alphabet, std::uint64_t seed) {
+  StreamRng rng(seed);
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string text = valid;
+    testing::mutate(text, rng, valid, alphabet);
+    std::optional<decltype(load(text))> rows;
+    try {
+      rows = load(text);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+      continue;
+    }
+    ++loaded;
+    // Saving must not throw either: a loader that accepts what no writer
+    // can emit lets a corrupt file through.
+    EXPECT_EQ(load(save(*rows)), *rows) << text;
+  }
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(CampaignExport, MutatedRowsRoundTripOrThrow) {
+  // The loaders that read exports and checkpoint journals back from disk.
+  CampaignConfig config;
+  config.collect_telemetry = true;
+  config.measure_wall_time = true;
+  const CampaignResult result = run_campaign(cheap_campaign(), config);
+  const std::string_view json_bytes = "{}\",:-0123456789\n";
+  fuzz_loader(
+      trials_to_jsonl(result.trials, true), trials_from_jsonl,
+      [](const std::vector<TrialRow>& rows) {
+        return trials_to_jsonl(rows, true);
+      },
+      json_bytes, 0x7A1);
+  fuzz_loader(
+      trials_to_csv(result.trials, true), trials_from_csv,
+      [](const std::vector<TrialRow>& rows) {
+        return trials_to_csv(rows, true);
+      },
+      ",-0123456789\n", 0x7A2);
+  fuzz_loader(telemetry_to_jsonl(result.telemetry), telemetry_from_jsonl,
+              telemetry_to_jsonl, json_bytes, 0x7A3);
+  std::string journal;
+  for (std::size_t i = 0; i < result.trials.size(); ++i) {
+    journal += serve::journal_line(result.trials[i]);
+    journal += serve::journal_line(result.telemetry[i]);
+  }
+  const auto load_journal = [](const std::string& text) {
+    const serve::JournalLoad load = serve::parse_journal(text);
+    return std::make_pair(load.rows, load.telemetry);
+  };
+  const auto save_journal = [](const std::pair<std::vector<TrialRow>,
+                                               std::vector<TelemetryRow>>&
+                                   rows) {
+    std::string text;
+    for (const TrialRow& row : rows.first) text += serve::journal_line(row);
+    for (const TelemetryRow& row : rows.second) {
+      text += serve::journal_line(row);
+    }
+    return text;
+  };
+  fuzz_loader(journal, load_journal, save_journal, json_bytes, 0x7A4);
 }
 
 TEST(CampaignEngine, TelemetryCollectionKeepsDefaultExportsByteIdentical) {

@@ -6,6 +6,7 @@
 #include "algorithms/harmonic.hpp"
 #include "algorithms/round_robin_bcast.hpp"
 #include "algorithms/strong_select.hpp"
+#include "core/rng.hpp"
 #include "core/simulator.hpp"
 #include "graph/generators.hpp"
 #include "interference/interference.hpp"
@@ -118,6 +119,25 @@ InterferenceNetwork make_inet(const std::string& topology) {
     gt8.add_undirected_edge(1, 7);
     return InterferenceNetwork(std::move(gt8), std::move(gi), 0);
   }
+  for (const NodeId n : {32, 64, 128}) {
+    // The Lemma 1 table's grid: a connected G(n, 0.04) backbone as G_T,
+    // plus every other pair w.p. 0.1 as interference.
+    if (topology != "gnp" + std::to_string(n)) continue;
+    Graph gt = gen::gnp_connected(n, 0.04, 7);
+    Graph gi(n);
+    for (const auto& [u, v] : gt.edges()) {
+      if (!gi.has_edge(u, v)) gi.add_undirected_edge(u, v);
+    }
+    StreamRng rng(mix_seed(7, 0x1f));
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId v = u + 1; v < n; ++v) {
+        if (!gi.has_edge(u, v) && rng.bernoulli(0.1)) {
+          gi.add_undirected_edge(u, v);
+        }
+      }
+    }
+    return InterferenceNetwork(std::move(gt), std::move(gi), 0);
+  }
   throw std::invalid_argument("unknown topology " + topology);
 }
 
@@ -177,7 +197,8 @@ TEST_P(Lemma1Equivalence, DualSimulationMatchesRoundByRound) {
 std::vector<Lemma1Param> lemma1_params() {
   std::vector<Lemma1Param> params;
   for (const char* algorithm : {"strongSelect", "harmonic", "roundRobin"}) {
-    for (const char* topology : {"pathPlus", "starOverRing", "bridgeLike"}) {
+    for (const char* topology : {"pathPlus", "starOverRing", "bridgeLike",
+                                 "gnp32", "gnp64", "gnp128"}) {
       for (CollisionRule rule :
            {CollisionRule::CR1, CollisionRule::CR2, CollisionRule::CR3,
             CollisionRule::CR4}) {

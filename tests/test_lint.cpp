@@ -361,11 +361,15 @@ TEST(LintLenientParse, FlagsStoAtoAndStrtoUnderSrc) {
   for (const lint::Finding& f : fs) EXPECT_EQ(f.rule, "lenient-parse");
 }
 
-TEST(LintLenientParse, OnlyAppliesToSrc) {
+TEST(LintLenientParse, AppliesToSrcToolsAndBench) {
+  // Command-line flags are outside input too: `--trials=-1` wrapped to
+  // 2^64-1 through std::stoul.
   const std::string text = "auto seed = std::stoull(*v);\n";
-  EXPECT_TRUE(run_lint("tools/dualrad_campaign.cpp", text).empty());
-  EXPECT_TRUE(run_lint("tests/test_campaign.cpp", text).empty());
   EXPECT_FALSE(run_lint("src/campaign/export.cpp", text).empty());
+  EXPECT_FALSE(run_lint("tools/dualrad_campaign.cpp", text).empty());
+  EXPECT_FALSE(run_lint("bench/bench_engine_scaling.cpp", text).empty());
+  EXPECT_TRUE(run_lint("tests/test_campaign.cpp", text).empty());
+  EXPECT_TRUE(run_lint("examples/quickstart.cpp", text).empty());
 }
 
 TEST(LintLenientParse, AnnotationFromCharsAndLookalikesEscape) {
@@ -447,6 +451,7 @@ const std::map<std::string, std::size_t> kFixtureExpectations = {
     {"src/serve/checkpoint_buffered.cpp", 2},
     {"src/serve/retry_sleep.cpp", 2},
     {"src/campaign/lenient_parse.cpp", 3},
+    {"tools/lenient_flags.cpp", 2},
     {"src/obs/sampling_ok.cpp", 0},
     {"src/core/clean.cpp", 0},
 };

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 
@@ -146,10 +147,19 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{10, 1}, std::tuple{6, 6}, std::tuple{9, 8}));
 
 TEST(KautzSingleton, LargeSampledVerification) {
+  // Includes the SSF ablation's grid (n = 1024, k = 2..32). Size bound: a
+  // prime q in ((k-1)(m-1), 2((k-1)(m-1)+1)] exists (Bertrand) and
+  // m = ceil(log2 n) digits suffice, so q^2 = O(k^2 log^2 n), capped at n.
   for (const auto& [n, k] :
-       {std::tuple<NodeId, NodeId>{256, 8}, {512, 4}, {1024, 16}}) {
+       {std::tuple<NodeId, NodeId>{256, 8}, {512, 4}, {1024, 2}, {1024, 4},
+        {1024, 8}, {1024, 16}, {1024, 32}}) {
     const SsfFamily f = kautz_singleton_ssf(n, k);
     EXPECT_EQ(sample_violations(f, k, 300, 17), 0u) << n << " " << k;
+    const auto log_n = static_cast<std::size_t>(
+        std::ceil(std::log2(static_cast<double>(n))));
+    const std::size_t q_max = 2 * ((k - 1) * (log_n - 1) + 1);
+    EXPECT_LE(f.size(), std::min<std::size_t>(n, q_max * q_max))
+        << n << " " << k;
   }
 }
 
@@ -178,12 +188,15 @@ TEST(RandomizedSsf, SmallInstancesVerifyExactly) {
 }
 
 TEST(RandomizedSsf, MatchesExistentialSizeShape) {
+  // The SSF ablation's grid: O(k^2 log n) sets, capped at n.
   const NodeId n = 1024;
-  const NodeId k = 8;
-  const SsfFamily f = randomized_ssf(n, k, {.factor = 4.0});
-  // O(k^2 log n): within small constants of k^2 ln n.
-  EXPECT_LE(f.size(), static_cast<std::size_t>(5.0 * k * k * std::log(n)));
-  EXPECT_EQ(sample_violations(f, k, 200, 23), 0u);
+  for (const NodeId k : {2, 4, 8, 16, 32}) {
+    const SsfFamily f = randomized_ssf(n, k, {.factor = 4.0});
+    const auto bound =
+        static_cast<std::size_t>(std::ceil(4.0 * k * k * std::log(n + 1.0)));
+    EXPECT_LE(f.size(), std::min<std::size_t>(n, bound)) << k;
+    EXPECT_EQ(sample_violations(f, k, 200, 23), 0u) << k;
+  }
 }
 
 TEST(RandomizedSsf, FallsBackToRoundRobinWhenCheaper) {
@@ -193,7 +206,8 @@ TEST(RandomizedSsf, FallsBackToRoundRobinWhenCheaper) {
 }
 
 TEST(RandomizedSsf, ProviderIsDeterministicGivenSeed) {
-  const auto provider = make_randomized_ssf_provider({.factor = 4.0, .seed = 9});
+  const auto provider =
+      make_randomized_ssf_provider({.factor = 4.0, .seed = 9});
   const SsfFamily a = provider(64, 4);
   const SsfFamily b = provider(64, 4);
   ASSERT_EQ(a.size(), b.size());

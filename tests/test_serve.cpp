@@ -32,6 +32,7 @@
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
 #include "serve/worker.hpp"
+#include "test_util.hpp"
 
 namespace dualrad::serve {
 namespace {
@@ -74,7 +75,7 @@ std::vector<Scenario> cheap_campaign() {
 struct TempPath {
   std::string path;
   explicit TempPath(const char* tag) {
-    path = testing::TempDir() + "dualrad_" + tag + "_" +
+    path = ::testing::TempDir() + "dualrad_" + tag + "_" +
            std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<std::uintptr_t>(this));
   }
@@ -1065,8 +1066,8 @@ TEST(ServeFaultline, SpecRejectsMalformedInput) {
 }
 
 TEST(ServeFaultline, MutatedSpecsRoundTripOrThrow) {
-  // Seeded mutation fuzz of parse_fault_plan over the chaos soak's spec
-  // (tests/serve_smoke.sh): byte flips, truncations and inserted separators.
+  // Seeded mutation fuzz (testing::mutate) of parse_fault_plan over the
+  // chaos soak's spec (tests/serve_smoke.sh), inserting separators.
   // Every parse either throws std::invalid_argument or returns a plan that
   // round-trips exactly through fault_plan_to_spec.
   const std::string soak =
@@ -1077,22 +1078,7 @@ TEST(ServeFaultline, MutatedSpecsRoundTripOrThrow) {
   std::size_t rejected = 0;
   for (int iter = 0; iter < 5000; ++iter) {
     std::string spec = soak;
-    for (std::uint64_t m = 1 + rng.below(3); m > 0; --m) {
-      const std::uint64_t at = rng.below(spec.size() + 1);
-      switch (rng.below(3)) {
-        case 0:
-          if (at < spec.size()) {
-            spec[at] = static_cast<char>(spec[at] ^ (1 + rng.below(255)));
-          }
-          break;
-        case 1:
-          spec.resize(at);
-          break;
-        default:
-          spec.insert(at, 1, ";=:"[rng.below(3)]);
-          break;
-      }
-    }
+    testing::mutate(spec, rng, soak, ";=:");
     FaultPlan plan;
     try {
       plan = parse_fault_plan(spec);

@@ -1,14 +1,18 @@
 #pragma once
 
+#include <cstdint>
 #include <set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "algorithms/broadcast_algorithm.hpp"
 #include "core/process.hpp"
+#include "core/rng.hpp"
 #include "core/trace.hpp"
 
-/// Test helpers: tiny controllable processes, and whole-trace decode/encode.
+/// Test helpers: tiny controllable processes, whole-trace decode/encode, and
+/// the seeded mutator behind the parser fuzz tests.
 
 namespace dualrad::testing {
 
@@ -89,6 +93,50 @@ inline Trace encode_all(const std::vector<RoundRecord>& rounds) {
   trace.level = TraceLevel::Compressed;
   for (const RoundRecord& record : rounds) trace.append_compressed(record);
   return trace;
+}
+
+/// One to three seeded edits of `bytes` for parser fuzzing: flip a byte,
+/// truncate, insert a byte, or splice in a span of `donor` (another valid
+/// input, so structure from elsewhere in the format lands mid-record).
+/// Inserted bytes come from `alphabet` — a format's separators, say — or
+/// are arbitrary when it is empty. A fuzz loop asserts that every mutant
+/// parses to something that round-trips or is rejected with
+/// std::invalid_argument; the sanitizer jobs turn a crash or UB into a
+/// failure.
+template <class Bytes>
+void mutate(Bytes& bytes, StreamRng& rng, const Bytes& donor,
+            std::string_view alphabet = {}) {
+  using Byte = typename Bytes::value_type;
+  for (std::uint64_t edits = 1 + rng.below(3); edits > 0; --edits) {
+    const auto at = static_cast<std::ptrdiff_t>(rng.below(bytes.size() + 1));
+    switch (rng.below(4)) {
+      case 0:
+        if (at < static_cast<std::ptrdiff_t>(bytes.size())) {
+          bytes[at] = static_cast<Byte>(bytes[at] ^ (1 + rng.below(255)));
+        }
+        break;
+      case 1:
+        bytes.resize(static_cast<std::size_t>(at));
+        break;
+      case 2: {
+        auto byte = static_cast<Byte>(rng.below(256));
+        if (!alphabet.empty()) {
+          byte = static_cast<Byte>(alphabet[rng.below(alphabet.size())]);
+        }
+        bytes.insert(bytes.begin() + at, byte);
+        break;
+      }
+      default: {
+        if (donor.empty()) break;
+        const auto from = static_cast<std::ptrdiff_t>(rng.below(donor.size()));
+        const auto length = static_cast<std::ptrdiff_t>(
+            1 + rng.below(donor.size() - static_cast<std::size_t>(from)));
+        bytes.insert(bytes.begin() + at, donor.begin() + from,
+                     donor.begin() + from + length);
+        break;
+      }
+    }
+  }
 }
 
 }  // namespace dualrad::testing

@@ -26,6 +26,7 @@
 #include "campaign/contract.hpp"
 #include "campaign/engine.hpp"
 #include "campaign/export.hpp"
+#include "campaign/jsonl.hpp"
 #include "core/audit.hpp"
 #include "core/rng.hpp"
 #include "graph/dual_graph.hpp"
@@ -38,6 +39,7 @@
 namespace {
 
 using namespace dualrad;
+using campaign::jsonl::parse_into;
 
 struct Options {
   bool list = false;
@@ -128,13 +130,17 @@ void usage() {
       "  --quiet             suppress the summary table on stdout\n");
 }
 
-std::optional<Options> parse(int argc, char** argv) try {
+std::optional<Options> parse(int argc, char** argv) {
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&](const char* prefix) -> std::optional<std::string> {
       const std::string p(prefix);
       if (arg.rfind(p, 0) == 0) return arg.substr(p.size());
+      return std::nullopt;
+    };
+    const auto malformed = [&arg]() -> std::optional<Options> {
+      std::fprintf(stderr, "malformed numeric argument: %s\n", arg.c_str());
       return std::nullopt;
     };
     if (arg == "--help" || arg == "-h") {
@@ -154,7 +160,7 @@ std::optional<Options> parse(int argc, char** argv) try {
     } else if (auto v = value("--telemetry-jsonl=")) {
       options.telemetry_jsonl_path = *v;
     } else if (auto v = value("--heartbeat=")) {
-      options.heartbeat_secs = static_cast<unsigned>(std::stoul(*v));
+      if (!parse_into(*v, options.heartbeat_secs)) return malformed();
     } else if (auto v = value("--journal=")) {
       options.journal_path = *v;
     } else if (auto v = value("--resume=")) {
@@ -166,11 +172,11 @@ std::optional<Options> parse(int argc, char** argv) try {
     } else if (auto v = value("--filter=")) {
       options.filter = *v;
     } else if (auto v = value("--seed=")) {
-      options.seed = std::stoull(*v);
+      if (!parse_into(*v, options.seed)) return malformed();
     } else if (auto v = value("--threads=")) {
-      options.threads = static_cast<unsigned>(std::stoul(*v));
+      if (!parse_into(*v, options.threads)) return malformed();
     } else if (auto v = value("--trials=")) {
-      options.trials = std::stoul(*v);
+      if (!parse_into(*v, options.trials)) return malformed();
     } else if (auto v = value("--jsonl=")) {
       options.jsonl_path = *v;
     } else if (auto v = value("--csv=")) {
@@ -185,9 +191,6 @@ std::optional<Options> parse(int argc, char** argv) try {
     }
   }
   return options;
-} catch (const std::exception&) {
-  std::fprintf(stderr, "malformed numeric argument\n");
-  return std::nullopt;
 }
 
 void list_scenarios(const std::vector<campaign::Scenario>& scenarios) {
@@ -256,7 +259,8 @@ void write_perfetto_for(const campaign::Scenario& scenario,
                         std::uint64_t master_seed, const std::string& path) {
   const DualGraph net = scenario.network();
   const ProcessFactory factory = scenario.algorithm(net);
-  const std::uint64_t seed = campaign::trial_seed(master_seed, scenario.name, 0);
+  const std::uint64_t seed =
+      campaign::trial_seed(master_seed, scenario.name, 0);
   const std::unique_ptr<Adversary> adversary =
       scenario.adversary(mix_seed(seed, 0xAD));
 
@@ -324,7 +328,8 @@ int main(int argc, char** argv) {
     std::vector<campaign::TrialRow> resume_rows;
     std::vector<campaign::TelemetryRow> journal_telemetry;
     if (!options.resume_path.empty()) {
-      const serve::JournalLoad loaded = serve::load_journal(options.resume_path);
+      const serve::JournalLoad loaded =
+          serve::load_journal(options.resume_path);
       serve::truncate_torn_tail(options.resume_path, loaded);
       resume_rows = loaded.rows;
       journal_telemetry = loaded.telemetry;

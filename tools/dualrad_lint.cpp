@@ -16,7 +16,8 @@
 /// a couple of seconds, so CI runs it as a first-stage gate before the main
 /// build ever configures.
 ///
-///   dualrad_lint [--root=DIR] [paths...]   lint src/ (or the given paths)
+///   dualrad_lint [--root=DIR] [paths...]   lint src/, tools/ and bench/
+///                                          (or the given paths)
 ///   dualrad_lint --list-rules              print the ruleset with rationale
 ///   dualrad_lint --fix-hints               append a fix hint per finding
 ///   dualrad_lint --allowlist=FILE          override tools/lint_allow.txt
@@ -45,9 +46,10 @@ void usage(std::FILE* out) {
       "                    [--list-rules] [--quiet] [paths...]\n"
       "\n"
       "Static determinism checker for the dualrad tree. Lints .cpp/.hpp\n"
-      "files under the given paths (default: src/) relative to --root and\n"
-      "exits non-zero on any finding not covered by an allowlist entry or\n"
-      "an inline '// lint: <token>' justification.\n");
+      "files under the given paths (default: whichever of src/, tools/ and\n"
+      "bench/ exist) relative to --root and exits non-zero on any finding\n"
+      "not covered by an allowlist entry or an inline '// lint: <token>'\n"
+      "justification.\n");
 }
 
 [[nodiscard]] std::string read_file(const fs::path& p) {
@@ -138,10 +140,13 @@ int main(int argc, char** argv) {
     print_rules();
     return 0;
   }
-  if (opt.paths.empty()) opt.paths.emplace_back("src");
-
   try {
     const fs::path root = fs::canonical(opt.root);
+    if (opt.paths.empty()) {
+      for (const char* dir : {"src", "tools", "bench"}) {
+        if (fs::is_directory(root / dir)) opt.paths.emplace_back(dir);
+      }
+    }
 
     lint::Linter linter;
     fs::path allow_path;

@@ -51,6 +51,7 @@ namespace {
 
 using namespace dualrad;
 namespace jsonl = campaign::jsonl;
+using jsonl::parse_into;
 
 std::atomic<bool> g_stop{false};
 
@@ -133,7 +134,7 @@ void usage() {
       "  --connect=EP\n");
 }
 
-std::optional<Options> parse(int argc, char** argv) try {
+std::optional<Options> parse(int argc, char** argv) {
   Options options;
   if (argc < 2) return std::nullopt;
   options.command = argv[1];
@@ -147,6 +148,10 @@ std::optional<Options> parse(int argc, char** argv) try {
     const auto value = [&](const char* prefix) -> std::optional<std::string> {
       const std::string p(prefix);
       if (arg.rfind(p, 0) == 0) return arg.substr(p.size());
+      return std::nullopt;
+    };
+    const auto malformed = [&arg]() -> std::optional<Options> {
+      std::fprintf(stderr, "malformed numeric argument: %s\n", arg.c_str());
       return std::nullopt;
     };
     if (arg == "--help" || arg == "-h") {
@@ -166,19 +171,19 @@ std::optional<Options> parse(int argc, char** argv) try {
     } else if (auto v = value("--filter=")) {
       options.filter = *v;
     } else if (auto v = value("--seed=")) {
-      options.seed = std::stoull(*v);
+      if (!parse_into(*v, options.seed)) return malformed();
     } else if (auto v = value("--trials=")) {
-      options.trials = std::stoul(*v);
+      if (!parse_into(*v, options.trials)) return malformed();
     } else if (auto v = value("--unit-trials=")) {
-      options.unit_trials = static_cast<std::uint32_t>(std::stoul(*v));
+      if (!parse_into(*v, options.unit_trials)) return malformed();
     } else if (auto v = value("--lease-secs=")) {
-      options.lease_secs = std::stod(*v);
+      if (!parse_into(*v, options.lease_secs)) return malformed();
     } else if (auto v = value("--journal=")) {
       options.journal_path = *v;
     } else if (auto v = value("--spawn=")) {
-      options.spawn = static_cast<unsigned>(std::stoul(*v));
+      if (!parse_into(*v, options.spawn)) return malformed();
     } else if (auto v = value("--heartbeat=")) {
-      options.heartbeat_secs = static_cast<unsigned>(std::stoul(*v));
+      if (!parse_into(*v, options.heartbeat_secs)) return malformed();
     } else if (auto v = value("--id=")) {
       options.worker_id = *v;
     } else if (auto v = value("--jsonl=")) {
@@ -202,9 +207,6 @@ std::optional<Options> parse(int argc, char** argv) try {
   }
   options.telemetry_wanted = telemetry || !options.telemetry_jsonl_path.empty();
   return options;
-} catch (const std::exception&) {
-  std::fprintf(stderr, "malformed numeric argument\n");
-  return std::nullopt;
 }
 
 /// One-shot request/response for the submit/status clients.

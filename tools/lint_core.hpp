@@ -43,10 +43,11 @@
 ///                          in the serve stack must be a bounded, jittered
 ///                          backoff (or a cooperative stop-checking wait),
 ///                          never a naked sleep inside a retry loop.
-///   lenient-parse          std::sto* / ato* / strto* under src/ — they
-///                          skip whitespace, wrap a sign on unsigned types
-///                          and stop at junk, so a malformed field from disk
-///                          or the wire parses as a plausible value.
+///   lenient-parse          std::sto* / ato* / strto* under src/, tools/
+///                          and bench/ — they skip whitespace, wrap a sign
+///                          on unsigned types and stop at junk, so a
+///                          malformed field from disk, the wire or the
+///                          command line parses as a plausible value.
 ///
 /// Deliberately lightweight: a comment/string-stripping scanner plus a small
 /// amount of per-file identifier tracking — no libclang, no build, runs over
@@ -134,11 +135,11 @@ inline const std::vector<Rule>& rules() {
        "exponential + deterministic jitter), or annotate the primitive with "
        "'// lint: backoff-ok (<why the wait is bounded>)'"},
       {"lenient-parse", "lint: parse-ok",
-       "lenient number parsing under src/",
+       "lenient number parsing under src/, tools/ or bench/",
        "std::sto*/ato*/strto* skip leading whitespace, accept a sign on "
        "unsigned types (wrapping -1 to 2^64-1) and stop at trailing junk, so "
-       "a malformed field from disk or the wire becomes a plausible value "
-       "instead of an error",
+       "a malformed field from disk, the wire or a command-line flag becomes "
+       "a plausible value instead of an error",
        "parse the whole field with std::from_chars (jsonl::to_int in "
        "campaign/jsonl.hpp), or annotate with "
        "'// lint: parse-ok (<why leniency is harmless>)'"},
@@ -873,7 +874,10 @@ class Linter {
 
   void check_lenient_parse(std::string_view path,
                            const std::vector<SourceLine>& lines) {
-    if (path.rfind("src/", 0) != 0) return;
+    if (path.rfind("src/", 0) != 0 && path.rfind("tools/", 0) != 0 &&
+        path.rfind("bench/", 0) != 0) {
+      return;
+    }
     static constexpr std::string_view kLenient[] = {
         "stoi",    "stol",    "stoll",   "stoul",    "stoull",    "stof",
         "stod",    "stold",   "atoi",    "atol",     "atoll",     "atof",
